@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import catalog_data
-from .centroids import centroid_space, is_centroid_element
+from .centroids import centroid_linear_space, centroid_space, is_centroid_element
 from .coordinate import coordinate_detail
 from .core import (
     LEFT,
@@ -24,8 +24,6 @@ from .core import (
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
-    check_axioms,
-    check_multiplicativity,
     full_report,
     products_span,
 )
@@ -33,16 +31,9 @@ from .derivations import derivation_row, derivation_space
 from .documents import algebra_to_document
 from .errors import DimensionMismatch, UnknownId
 from .matrices import Matrix, rank
-from .reports import (
-    CentroidRow,
-    ClaimVerification,
-    ErrataRecord,
-    map_to_strings,
-    unit_label,
-    witness_to_dict,
-)
+from .reports import CentroidRow, ErrataRecord, map_to_strings, published_unit_claims, witness_to_dict
 from .scalars import ONE, ZERO
-from .transforms import is_morphism
+from .transforms import is_isomorphism
 
 
 def _tensor_from_spec(dim, role, spec):
@@ -189,7 +180,7 @@ def fingerprint(algebra: BiHomTrialgebra) -> Fingerprint:
     return Fingerprint(
         report.profile(),
         derivation_space(algebra).dim,
-        len(centroid_space(algebra).linear_basis),
+        len(centroid_linear_space(algebra)),
         tuple(product_ranks),
         (rank(algebra.alpha.matrix), rank(algebra.beta.matrix)),
         rank(Matrix.from_rows(squared)) if squared else 0,
@@ -229,7 +220,7 @@ def verify_isomorphism(a_id: str, b_id: str, psi: LinearMap) -> bool:
     b = catalog_get(b_id).algebra
     if psi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("isomorphism candidate dimension mismatch")
-    return psi.is_invertible() and is_morphism(psi, a, b).holds
+    return is_isomorphism(psi, a, b)
 
 
 # -- verification harness ----------------------------------------------------
@@ -264,37 +255,13 @@ def _conjectured_twist_repair(entry: CatalogEntry):
 def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     algebra = entry.algebra
     space = centroid_space(algebra)
-    errata = []
-    claims = []
-    from .matrices import in_span
-
-    sub_flats = [list(b.flatten()) for b in space.subspace_basis]
-    for (q, p) in entry.paper_cent_units or ():
-        unit = LinearMap.unit(algebra.dim, q - 1, p - 1)
-        transposed = LinearMap.unit(algebra.dim, p - 1, q - 1)
-        ok, wit = is_centroid_element(algebra, unit)
-        t_ok, _ = is_centroid_element(algebra, transposed)
-        claims.append(
-            ClaimVerification(
-                unit_label(q, p), (q, p), ok, t_ok,
-                in_span(sub_flats, list(unit.flatten())),
-            )
-        )
-        if not ok:
-            errata.append(
-                ErrataRecord(
-                    entry.id,
-                    f"centroid-basis:{unit_label(q, p)}",
-                    f"published centroid matrix {unit_label(q, p)} satisfies the definition",
-                    {
-                        "passes": False,
-                        "transpose_passes": t_ok,
-                        "recomputed_dim": space.reported_dim,
-                        "recomputed_subspace": [map_to_strings(b) for b in space.subspace_basis],
-                    },
-                    witness_to_dict(wit[0]) if wit else None,
-                )
-            )
+    subspace = [map_to_strings(b) for b in space.subspace_basis]
+    claims, errata = published_unit_claims(
+        entry.id, algebra.dim, entry.paper_cent_units, lambda u: is_centroid_element(algebra, u),
+        [list(b.flatten()) for b in space.subspace_basis],
+        "centroid-basis", "published centroid matrix {} satisfies the definition",
+        {"recomputed_dim": space.reported_dim, "recomputed_subspace": subspace},
+    )
     if entry.paper_cent_dim is None:
         status = "paper-silent"
     elif entry.paper_cent_dim == space.reported_dim:
@@ -309,7 +276,7 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
                 {
                     "recomputed_dim": space.reported_dim,
                     "linear_stage_dim": space.linear_dim,
-                    "recomputed_subspace": [map_to_strings(b) for b in space.subspace_basis],
+                    "recomputed_subspace": subspace,
                 },
                 None,
             )
@@ -327,7 +294,7 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
         space.method,
         space.solution_description,
         tuple(p.serialize() for p in space.obstruction),
-        tuple(claims),
+        claims,
         tuple(errata),
     )
 
@@ -404,9 +371,7 @@ class CatalogVerification:
 
 def verify_entry(entry: CatalogEntry) -> EntryVerification:
     algebra = entry.algebra
-    ax = check_axioms(algebra)
-    mult = check_multiplicativity(algebra)
-    combined = ax.merged(mult)
+    combined = full_report(algebra)
     checks = combined.profile()
     coord = coordinate_detail(algebra)
     coordinate_agrees = all(

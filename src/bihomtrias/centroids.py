@@ -29,8 +29,8 @@ from itertools import combinations
 
 from dataclasses import dataclass
 
-from .core import ROLES, BiHomTrialgebra, LinearMap, products_span
-from .derivations import is_derivation, map_commutation_rows
+from .core import ROLES, BiHomTrialgebra, LinearMap, products_span, twist_commutation_witnesses
+from .derivations import derivation_space, is_derivation, twisted_leibniz_rows
 from .errors import DimensionMismatch
 from .matrices import (
     Matrix,
@@ -125,14 +125,7 @@ def is_centroid_element(algebra: BiHomTrialgebra, psi: LinearMap, right_chain="a
     if psi.dim != algebra.dim:
         raise DimensionMismatch("centroid candidate dimension mismatch")
     n = algebra.dim
-    witnesses = []
-    for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        lhs, rhs = psi.compose(f), f.compose(psi)
-        if lhs != rhs:
-            for i in range(n):
-                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
-                if li != ri:
-                    witnesses.append((f"commute-{name}", i + 1, None, li, ri))
+    witnesses = twist_commutation_witnesses(algebra, psi)
     ab = algebra.alpha.compose(algebra.beta)
     ab_img = [ab.image_of_basis(i) for i in range(n)]
     psi_img = [psi.image_of_basis(i) for i in range(n)]
@@ -167,22 +160,10 @@ class QuadraticPoly:
     def is_zero(self):
         return not self.quad and not self.lin
 
-    def quad_dict(self):
-        return dict(self.quad)
-
-    def lin_dict(self):
-        return dict(self.lin)
-
     def eval_quad(self, v):
         acc = ZERO
         for (a, b), coeff in self.quad:
             acc = acc + coeff * v[a] * v[b]
-        return acc
-
-    def eval_lin(self, v):
-        acc = ZERO
-        for a, coeff in self.lin:
-            acc = acc + coeff * v[a]
         return acc
 
     def polar(self, u, v):
@@ -223,42 +204,9 @@ class CentroidSpace:
         return [list(b.flatten()) for b in self.linear_basis]
 
 
-def _stage1_rows(algebra: BiHomTrialgebra):
-    n = algebra.dim
-    rows = []
-    rows.extend(map_commutation_rows(algebra.alpha))
-    rows.extend(map_commutation_rows(algebra.beta))
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_img = [ab.image_of_basis(i) for i in range(n)]
-    for role in ROLES:
-        c = algebra.tensor(role).c
-        for i in range(n):
-            for j in range(n):
-                wj = ab_img[j]
-                wi = ab_img[i]
-                for r in range(n):
-                    row = [ZERO] * (n * n)
-                    for q in range(n):
-                        acc = ZERO
-                        for s in range(n):
-                            if not wj[s].is_zero and not c[q][s][r].is_zero:
-                                acc = acc + wj[s] * c[q][s][r]
-                        if not acc.is_zero:
-                            row[q * n + i] = row[q * n + i] + acc
-                    for s in range(n):
-                        acc = ZERO
-                        for q in range(n):
-                            if not wi[q].is_zero and not c[q][s][r].is_zero:
-                                acc = acc + wi[q] * c[q][s][r]
-                        if not acc.is_zero:
-                            row[s * n + j] = row[s * n + j] - acc
-                    rows.append(row)
-    return rows
-
-
 def centroid_linear_space(algebra: BiHomTrialgebra):
     """Stage 1: commutations plus the outer equality, as canonical maps."""
-    kernel = nullspace(Matrix.from_rows(_stage1_rows(algebra)))
+    kernel = nullspace(Matrix.from_rows(twisted_leibniz_rows(algebra, with_image=False)))
     return tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
 
 
@@ -486,27 +434,23 @@ class CentralDerivations:
     equals_intersection: bool
 
 
-def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
-    """Maps with image in the full centralizer and kernel containing A*A,
-    cross-checked against Cent intersect Der."""
+def _central_conditions(algebra: BiHomTrialgebra):
+    """The conditions defining central derivations: the rows of Z_A(A) in
+    the n unknowns of a vector, the canonical basis of A*A, and the n^2
+    rows in the unknowns of a map psi (flattened (q, p) row-major) for
+    psi(e_p) in Z_A(A) and psi(A*A) = 0."""
     n = algebra.dim
-    full_basis = [unit_vec(n, i) for i in range(n)]
-    center_rows = _centralizer_rows(algebra, full_basis)
-    z_basis = (
-        nullspace(Matrix.from_rows(center_rows)) if center_rows else list(full_basis)
-    )
+    center_rows = _centralizer_rows(algebra, [unit_vec(n, i) for i in range(n)])
     squared = row_space(products_span(algebra))
     squared_basis = [squared.row(r) for r in range(squared.rows)]
-
     rows = []
-    if center_rows:
-        for crow in center_rows:
-            for p in range(n):
-                row = [ZERO] * (n * n)
-                for u in range(n):
-                    if not crow[u].is_zero:
-                        row[u * n + p] = crow[u]
-                rows.append(row)
+    for crow in center_rows:
+        for p in range(n):
+            row = [ZERO] * (n * n)
+            for u in range(n):
+                if not crow[u].is_zero:
+                    row[u * n + p] = crow[u]
+            rows.append(row)
     for v in squared_basis:
         for r in range(n):
             row = [ZERO] * (n * n)
@@ -514,13 +458,16 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
                 if not v[p].is_zero:
                     row[r * n + p] = v[p]
             rows.append(row)
-    if rows:
-        kernel = nullspace(Matrix.from_rows(rows))
-    else:
-        kernel = [unit_vec(n * n, i) for i in range(n * n)]
-    basis = tuple(LinearMap.from_flat(n, v) for v in kernel)
+    return center_rows, squared_basis, rows
 
-    from .derivations import derivation_space
+
+def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
+    """Maps with image in the full centralizer and kernel containing A*A,
+    cross-checked against Cent intersect Der."""
+    n = algebra.dim
+    center_rows, squared_basis, rows = _central_conditions(algebra)
+    z_basis = nullspace(Matrix.from_rows(center_rows))
+    basis = tuple(LinearMap.from_flat(n, v) for v in nullspace(Matrix.from_rows(rows)))
 
     der = derivation_space(algebra)
     cent = centroid_space(algebra)
@@ -546,10 +493,14 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     )
 
 
-def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
-    """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0."""
+def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap, conditions=None) -> bool:
+    """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0.
+
+    ``conditions`` may carry ``_central_conditions(algebra)`` precomputed,
+    for callers that test many maps on one algebra.
+    """
+    center_rows, squared_basis, _ = conditions or _central_conditions(algebra)
     n = algebra.dim
-    center_rows = _centralizer_rows(algebra, [unit_vec(n, i) for i in range(n)])
     for p in range(n):
         col = psi.image_of_basis(p)
         for row in center_rows:
@@ -559,11 +510,7 @@ def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
                     acc = acc + row[u] * col[u]
             if not acc.is_zero:
                 return False
-    squared = row_space(products_span(algebra))
-    for r in range(squared.rows):
-        if not vec_is_zero(psi.apply(squared.row(r))):
-            return False
-    return True
+    return all(vec_is_zero(psi.apply(v)) for v in squared_basis)
 
 
 # -- interaction property suite --------------------------------------------
@@ -588,11 +535,10 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
 
     Failures become errata records, not exceptions.
     """
-    from .derivations import derivation_space
-
     entry_id = entry_id or algebra.name
     der = derivation_space(algebra)
     cent = centroid_space(algebra)
+    conditions = _central_conditions(algebra)
     records = []
     failures = []
     for pi, phi in enumerate(cent.subspace_basis):
@@ -615,8 +561,8 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
             phi_d_der = is_derivation(algebra, phi_d)[0]
             d_phi_cent = is_centroid_element(algebra, d_phi)[0]
             d_phi_der = is_derivation(algebra, d_phi)[0]
-            phi_d_central = is_central_derivation(algebra, phi_d)
-            bracket_central = is_central_derivation(algebra, bracket)
+            phi_d_central = is_central_derivation(algebra, phi_d, conditions)
+            bracket_central = is_central_derivation(algebra, bracket, conditions)
             rec = {
                 "phi": f"phi{pi + 1}",
                 "d": f"d{di + 1}",

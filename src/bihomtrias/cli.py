@@ -14,7 +14,7 @@ import sys
 
 from .catalog import catalog_get, catalog_list, catalog_verify
 from .centroids import centroid_space
-from .core import check_axioms, check_multiplicativity
+from .core import full_report
 from .derivations import derivation_space
 from .documents import (
     algebra_to_document,
@@ -25,7 +25,14 @@ from .documents import (
 from .errors import BihomtriasError, ParseError
 from .reports import map_to_strings, witness_to_dict
 from .scalars import parse_scalar
-from .transforms import RotaBaxterData, direct_sum, rota_baxter_check, total_sum, transport
+from .transforms import (
+    RotaBaxterData,
+    direct_sum,
+    is_isomorphism,
+    rota_baxter_check,
+    total_sum,
+    transport,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +75,7 @@ def _axiom_payload(report):
 
 def _cmd_verify(args, fmt):
     algebra = _load_algebra(args.file)
-    report = check_axioms(algebra).merged(check_multiplicativity(algebra))
+    report = full_report(algebra)
     checks, witnesses = _axiom_payload(report)
     payload = {
         "algebra": algebra.name,
@@ -181,9 +188,7 @@ def _cmd_iso(args, fmt):
     a = _load_algebra(args.a)
     b = _load_algebra(args.b)
     psi = parse_operator(_read(args.map), expected_dim=a.dim)
-    from .transforms import is_morphism
-
-    ok = psi.is_invertible() and is_morphism(psi, a, b).holds
+    ok = is_isomorphism(psi, a, b)
     payload = {"isomorphism": ok}
     _emit(payload, fmt, lambda p: print("isomorphism" if p["isomorphism"] else "not an isomorphism"))
     return 0 if ok else None

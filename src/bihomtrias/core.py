@@ -304,6 +304,25 @@ def evaluate(algebra: BiHomTrialgebra, role: str, x: Vector, y: Vector) -> Vecto
     return algebra.tensor(role).bilinear(x, y)
 
 
+def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
+    """Basis vectors on which u . f != g . u for the twist pairs (f, g).
+
+    ``g`` is the matching twist of ``target`` (default: ``algebra`` itself,
+    the commutation every endomorphism check requires).  Each failure is
+    ``("commute-alpha"|"commute-beta", i, None, lhs, rhs)``, i 1-based.
+    """
+    target = algebra if target is None else target
+    witnesses = []
+    for name, f, g in (("alpha", algebra.alpha, target.alpha), ("beta", algebra.beta, target.beta)):
+        lhs, rhs = u.compose(f), g.compose(u)
+        if lhs != rhs:
+            for i in range(u.dim):
+                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
+                if li != ri:
+                    witnesses.append((f"commute-{name}", i + 1, None, li, ri))
+    return witnesses
+
+
 # -- axiom checking ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -343,9 +362,6 @@ class AxiomReport:
             if r.axiom_id == axiom_id:
                 return r
         raise KeyError(axiom_id)
-
-    def failing_ids(self):
-        return tuple(r.axiom_id for r in self.results if not r.holds)
 
     def profile(self):
         """(axiom_id, holds) pairs in report order; an isomorphism invariant."""
@@ -476,6 +492,7 @@ __all__ = [
     "BiHomTrialgebra",
     "zero_algebra",
     "evaluate",
+    "twist_commutation_witnesses",
     "Witness",
     "AxiomResult",
     "AxiomReport",

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ROLES, BiHomTrialgebra, LinearMap
+from .core import ROLES, BiHomTrialgebra, LinearMap, twist_commutation_witnesses
 from .errors import DimensionMismatch
 from .matrices import Matrix, nullspace
-from .reports import ClaimVerification, DerivationRow, ErrataRecord, map_to_strings, unit_label, witness_to_dict
+from .reports import DerivationRow, ErrataRecord, map_to_strings, published_unit_claims
 from .scalars import ZERO
 
 
@@ -28,14 +28,7 @@ def is_derivation(algebra: BiHomTrialgebra, d: LinearMap):
     if d.dim != algebra.dim:
         raise DimensionMismatch("derivation candidate dimension mismatch")
     n = algebra.dim
-    witnesses = []
-    for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        lhs, rhs = d.compose(f), f.compose(d)
-        if lhs != rhs:
-            for i in range(n):
-                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
-                if li != ri:
-                    witnesses.append((f"commute-{name}", i + 1, None, li, ri))
+    witnesses = twist_commutation_witnesses(algebra, d)
     ab = algebra.alpha.compose(algebra.beta)
     ab_img = [ab.image_of_basis(i) for i in range(n)]
     d_img = [d.image_of_basis(i) for i in range(n)]
@@ -70,12 +63,19 @@ def map_commutation_rows(f: LinearMap):
     return rows
 
 
-def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
-    """The full linear system whose kernel is the derivation space."""
+def twisted_leibniz_rows(algebra: BiHomTrialgebra, with_image: bool):
+    """Rows in the unknowns u_qp of u(e_p) = sum_q u_qp e_q (flattened (q, p)
+    row-major): commutation with alpha and beta, then for each product and
+    basis pair (e_i, e_j) one row per output coordinate r of
+
+        with_image:     u(e_i * e_j) - u(e_i) * ab(e_j) - ab(e_i) * u(e_j)
+        not with_image: u(e_i) * ab(e_j) - ab(e_i) * u(e_j)
+
+    The first kernel is the derivation space, the second the centroid's
+    linear stage.
+    """
     n = algebra.dim
-    rows = []
-    rows.extend(map_commutation_rows(algebra.alpha))
-    rows.extend(map_commutation_rows(algebra.beta))
+    rows = map_commutation_rows(algebra.alpha) + map_commutation_rows(algebra.beta)
     ab = algebra.alpha.compose(algebra.beta)
     ab_img = [ab.image_of_basis(i) for i in range(n)]
     for role in ROLES:
@@ -86,17 +86,19 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
                 wi = ab_img[i]
                 for r in range(n):
                     row = [ZERO] * (n * n)
-                    for k in range(n):
-                        v = c[i][j][k]
-                        if not v.is_zero:
-                            row[r * n + k] = row[r * n + k] + v
+                    if with_image:
+                        for k in range(n):
+                            v = c[i][j][k]
+                            if not v.is_zero:
+                                row[r * n + k] = row[r * n + k] + v
                     for q in range(n):
                         acc = ZERO
                         for s in range(n):
                             if not wj[s].is_zero and not c[q][s][r].is_zero:
                                 acc = acc + wj[s] * c[q][s][r]
                         if not acc.is_zero:
-                            row[q * n + i] = row[q * n + i] - acc
+                            x = row[q * n + i]
+                            row[q * n + i] = x - acc if with_image else x + acc
                     for s in range(n):
                         acc = ZERO
                         for q in range(n):
@@ -105,7 +107,12 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
                         if not acc.is_zero:
                             row[s * n + j] = row[s * n + j] - acc
                     rows.append(row)
-    return Matrix.from_rows(rows)
+    return rows
+
+
+def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
+    """The full linear system whose kernel is the derivation space."""
+    return Matrix.from_rows(twisted_leibniz_rows(algebra, with_image=True))
 
 
 def derivation_system_indexform(algebra: BiHomTrialgebra) -> Matrix:
@@ -184,37 +191,14 @@ def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
     """Build one report row: recompute, compare with the published row,
     re-verify every published basis matrix, errata on any mismatch."""
     space = derivation_space(algebra)
-    n = algebra.dim
-    errata = []
-    claims = []
-    from .matrices import in_span
-
-    flats = space.flats()
-    for (q, p) in paper_units or ():
-        unit = LinearMap.unit(n, q - 1, p - 1)
-        transposed = LinearMap.unit(n, p - 1, q - 1)
-        ok, wit = is_derivation(algebra, unit)
-        t_ok, _ = is_derivation(algebra, transposed)
-        claims.append(
-            ClaimVerification(
-                unit_label(q, p), (q, p), ok, t_ok, in_span(flats, list(unit.flatten()))
-            )
-        )
-        if not ok:
-            errata.append(
-                ErrataRecord(
-                    entry_id,
-                    f"derivation-basis:{unit_label(q, p)}",
-                    f"published basis matrix {unit_label(q, p)} is a derivation",
-                    {
-                        "passes": False,
-                        "transpose_passes": t_ok,
-                        "recomputed_dim": space.dim,
-                        "recomputed_basis": [map_to_strings(b) for b in space.basis],
-                    },
-                    witness_to_dict(wit[0]) if wit else None,
-                )
-            )
+    recomputed = {
+        "recomputed_dim": space.dim,
+        "recomputed_basis": [map_to_strings(b) for b in space.basis],
+    }
+    claims, errata = published_unit_claims(
+        entry_id, algebra.dim, paper_units, lambda u: is_derivation(algebra, u), space.flats(),
+        "derivation-basis", "published basis matrix {} is a derivation", recomputed,
+    )
     if paper_dim is None:
         status = "paper-silent"
     elif paper_dim == space.dim:
@@ -222,19 +206,10 @@ def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
     else:
         status = "mismatch"
         errata.append(
-            ErrataRecord(
-                entry_id,
-                "derivation-dim",
-                f"published dim {paper_dim}",
-                {
-                    "recomputed_dim": space.dim,
-                    "recomputed_basis": [map_to_strings(b) for b in space.basis],
-                },
-                None,
-            )
+            ErrataRecord(entry_id, "derivation-dim", f"published dim {paper_dim}", recomputed, None)
         )
     return DerivationRow(
-        entry_id, space.dim, paper_dim, status, space.basis, tuple(claims), tuple(errata)
+        entry_id, space.dim, paper_dim, status, space.basis, claims, tuple(errata)
     )
 
 

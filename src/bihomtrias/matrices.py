@@ -15,10 +15,6 @@ from .scalars import ONE, ZERO, Scalar
 Vector = tuple  # tuple[Scalar, ...]
 
 
-def vec(values) -> Vector:
-    return tuple(v if isinstance(v, Scalar) else Scalar(v) for v in values)
-
-
 def zero_vec(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -293,10 +289,6 @@ def in_span(vectors, candidate: Vector) -> bool:
     base = Matrix.from_rows(vectors)
     extended = Matrix.from_rows(vectors + [list(candidate)])
     return rank(base) == rank(extended)
-
-
-def same_span(vs, ws) -> bool:
-    return row_space(vs) == row_space(ws)
 
 
 def span_intersection(vs, ws):

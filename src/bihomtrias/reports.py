@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LinearMap
+from .matrices import in_span
 from .scalars import format_scalar
 
 
@@ -123,6 +124,38 @@ class CentroidRow:
             "claims": [c.to_dict() for c in self.claims],
             "errata": [e.to_dict() for e in self.errata],
         }
+
+
+def published_unit_claims(entry_id, dim, units, check, span_flats, kind, expected, recomputed):
+    """Re-verify each published matrix unit (q, p) and its transpose.
+
+    ``check(map)`` returns ``(ok, witnesses)``; ``span_flats`` spans the
+    recomputed space.  A failing unit becomes an errata record checked as
+    ``kind:E_qp`` with ``expected`` formatted on the label and the
+    ``recomputed`` fields after ``passes``/``transpose_passes``.
+    Returns ``(claims, errata)``.
+    """
+    claims = []
+    errata = []
+    for (q, p) in units or ():
+        label = unit_label(q, p)
+        unit = LinearMap.unit(dim, q - 1, p - 1)
+        ok, wit = check(unit)
+        t_ok, _ = check(LinearMap.unit(dim, p - 1, q - 1))
+        claims.append(
+            ClaimVerification(label, (q, p), ok, t_ok, in_span(span_flats, list(unit.flatten())))
+        )
+        if not ok:
+            errata.append(
+                ErrataRecord(
+                    entry_id,
+                    f"{kind}:{label}",
+                    expected.format(label),
+                    {"passes": False, "transpose_passes": t_ok, **recomputed},
+                    witness_to_dict(wit[0]) if wit else None,
+                )
+            )
+    return tuple(claims), errata
 
 
 def witness_to_dict(w):

@@ -11,6 +11,9 @@ Text grammar (used by every file format)::
     rat    := ["-"] int ["/" posint]
     sign   := "+" | "-"
 
+with ASCII digits only.  A Scalar holds exact values: float and complex
+arguments raise TypeError.
+
 Examples: "1", "-3/2", "1/2+1/3i", "2i".  Parsing reduces to canonical
 form; formatting always emits the canonical spelling, so parse/format
 round-trips are the identity on canonical strings.
@@ -27,7 +30,8 @@ _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(
     rf"^(?:(?P<re>{_RAT})(?P<im_signed>[+-]\d+(?:/\d+)?)i"
     rf"|(?P<only_im>{_RAT})i"
-    rf"|(?P<only_re>{_RAT}))$"
+    rf"|(?P<only_re>{_RAT}))$",
+    re.ASCII,
 )
 
 
@@ -37,6 +41,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise TypeError("Scalar takes exact values (int, Fraction), not float or complex")
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
@@ -114,7 +120,8 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real Scalar equals, so must hash like, its int or Fraction value
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -220,3 +227,5 @@ def parse_scalar(text: str, location=None) -> Scalar:
         return Scalar(Fraction(m.group("re")), Fraction(m.group("im_signed")))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}", location) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"scalar of {len(text)} characters is too long", location) from None

@@ -20,6 +20,7 @@ from .core import (
     LinearMap,
     MulTensor,
     check_axioms,
+    twist_commutation_witnesses,
 )
 from .errors import DimensionMismatch, PreconditionFailed
 from .matrices import Matrix, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
@@ -82,15 +83,10 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
     """Check psi : a -> b intertwines the twists and all three products."""
     if psi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("morphism endpoints must share the map's dimension")
-    witnesses = []
-    for name, fa, fb in (("alpha", a.alpha, b.alpha), ("beta", a.beta, b.beta)):
-        lhs = psi.compose(fa)
-        rhs = fb.compose(psi)
-        if lhs != rhs:
-            for i in range(a.dim):
-                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
-                if li != ri:
-                    witnesses.append(("map", name, i + 1, None, li, ri))
+    witnesses = [
+        ("map", tag.removeprefix("commute-"), i, j, li, ri)
+        for tag, i, j, li, ri in twist_commutation_witnesses(a, psi, target=b)
+    ]
     for role in ROLES:
         ta, tb = a.tensor(role), b.tensor(role)
         for i in range(a.dim):
@@ -258,14 +254,7 @@ def rota_baxter_check(algebra: BiHomTrialgebra, rb: RotaBaxterData):
     if r.dim != algebra.dim:
         raise DimensionMismatch("operator dimension mismatch")
     n = algebra.dim
-    witnesses = []
-    for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        lhs, rhs = r.compose(f), f.compose(r)
-        if lhs != rhs:
-            for i in range(n):
-                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
-                if li != ri:
-                    witnesses.append((f"commute-{name}", i + 1, None, li, ri))
+    witnesses = twist_commutation_witnesses(algebra, r)
     r_img = [r.image_of_basis(i) for i in range(n)]
     identities = (
         ("rb-right-of-left", RIGHT, LEFT),
@@ -297,10 +286,7 @@ def rota_baxter_check_single(algebra: BiHomAlgebra, rb: RotaBaxterData):
         raise DimensionMismatch("operator dimension mismatch")
     n = algebra.dim
     mu = algebra.mu
-    witnesses = []
-    for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        if r.compose(f) != f.compose(r):
-            witnesses.append((f"commute-{name}", None, None, None, None))
+    witnesses = twist_commutation_witnesses(algebra, r)
     r_img = [r.image_of_basis(i) for i in range(n)]
     for i in range(n):
         ei = unit_vec(n, i)
@@ -495,10 +481,7 @@ def averaging_check(algebra: BiHomTrialgebra, xi: LinearMap):
     if xi.dim != algebra.dim:
         raise DimensionMismatch("operator dimension mismatch")
     n = algebra.dim
-    witnesses = []
-    for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        if xi.compose(f) != f.compose(xi):
-            witnesses.append((f"commute-{name}", None, None))
+    witnesses = twist_commutation_witnesses(algebra, xi)
     xi_img = [xi.image_of_basis(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)

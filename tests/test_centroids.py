@@ -1,3 +1,5 @@
+import pytest
+
 from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.centroids import (
     cent_der_property_suite,
@@ -196,6 +198,26 @@ def test_obstruction_serialization_shape():
     assert set(ser) == {"quad", "lin"}
 
 
+@pytest.mark.parametrize("name", catalog_list())
+def test_linear_stage_maps_satisfy_outer_equality_pointwise(name):
+    """Soundness of stage 1, evaluated on basis pairs with the bilinear
+    evaluator: every basis map commutes with both twists and satisfies
+    psi(e_i) * ab(e_j) = ab(e_i) * psi(e_j) in each product."""
+    a = catalog_get(name).algebra
+    n = a.dim
+    ab = a.alpha.compose(a.beta)
+    for psi in centroid_linear_space(a):
+        assert psi.compose(a.alpha) == a.alpha.compose(psi)
+        assert psi.compose(a.beta) == a.beta.compose(psi)
+        for role in ROLES:
+            t = a.tensor(role)
+            for i in range(n):
+                for j in range(n):
+                    lhs = t.bilinear(psi.image_of_basis(i), ab.image_of_basis(j))
+                    rhs = t.bilinear(ab.image_of_basis(i), psi.image_of_basis(j))
+                    assert lhs == rhs, (role, i + 1, j + 1)
+
+
 def test_stage1_linear_space_function_matches_space():
     a = catalog_get("BTas_3^3").algebra
     assert centroid_linear_space(a) == centroid_space(a).linear_basis
@@ -230,6 +252,29 @@ def test_zero_map_always_central():
     for name in ("BTas_2^1", "BTas_3^14"):
         a = catalog_get(name).algebra
         assert is_central_derivation(a, LinearMap.zero(a.dim))
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_central_check_agrees_with_central_space(name):
+    """is_central_derivation decides membership in span(central_derivations)."""
+    a = catalog_get(name).algebra
+    n = a.dim
+    basis = central_derivations(a).basis
+    flats = [list(b.flatten()) for b in basis]
+    rng = seeded(f"central-membership:{name}")
+
+    def coin():
+        return Scalar(rng.choice((-1, 0, 1)))
+
+    candidates = list(basis)
+    candidates += [LinearMap.from_flat(n, [coin() for _ in range(n * n)]) for _ in range(6)]
+    for _ in range(3):
+        combo = LinearMap.zero(n)
+        for b in basis:
+            combo = combo.add(b.scale(coin()))
+        candidates.append(combo)
+    for psi in candidates:
+        assert is_central_derivation(a, psi) == in_span(flats, list(psi.flatten()))
 
 
 def test_first_entry_central_derivations():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from bihomtrias.catalog import catalog_get
+from bihomtrias.cli import main
 from bihomtrias.documents import serialize_algebra, serialize_operator
 from bihomtrias.core import LinearMap
 from bihomtrias.matrices import Matrix
@@ -164,3 +165,24 @@ def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("catalog", "explode").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    ["7" * 5000, "1/" + "3" * 5000, "\u0661/\u0662"],
+    ids=["5000-digit-numerator", "5000-digit-denominator", "arabic-indic-digits"],
+)
+def test_malformed_scalar_in_document_exits_2(tmp_path, capsys, coefficient):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": 1, "left": [{"i": 1, "j": 1, "k": 1, "c": coefficient}]}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oversized_scalar_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "left": [{"i": 1, "j": 1, "k": 1, "c": "7" * 5000}]}))
+    r = run_cli("verify", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr

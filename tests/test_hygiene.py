@@ -1,0 +1,66 @@
+"""Static hygiene of the package source (stdlib ``ast`` only).
+
+Two leftovers a refactor tends to leave behind are caught here:
+``from ... import`` names that no longer have a use in their module, and
+module-level private functions that nothing references any more.  The
+package ``__init__`` (whose imports are re-exports) and
+``from __future__ import annotations`` are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bihomtrias"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree, attributes=False):
+    """Every bare name the module uses (and, with ``attributes``, every
+    attribute name), plus the strings listed in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_from_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
+    assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def test_private_functions_are_referenced():
+    trees = {p.name: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_used_names(t, attributes=True) for t in trees.values()))
+    unreferenced = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not unreferenced, f"private functions never referenced: {unreferenced}"

@@ -41,10 +41,20 @@ def test_parse_grammar(text, re_, im_):
     assert s.re == Fraction(re_) and s.im == Fraction(im_)
 
 
-@pytest.mark.parametrize("bad", ["", "i", "+1", "1+i", "1//2", "1/0", "1.5", "one", "1 + 1i"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "i", "+1", "1+i", "1//2", "1/0", "1.5", "one", "1 + 1i",
+     "\u0661/\u0662", "\uff11", "1+\u0662i"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
+
+
+def test_parse_rejects_integers_too_long_to_convert():
+    for text in ("7" * 5000, "1/" + "3" * 5000, "1+" + "9" * 5000 + "i"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
 
 
 def test_parse_reports_location():
@@ -126,3 +136,24 @@ def test_immutability():
     s = Scalar(1)
     with pytest.raises(AttributeError):
         s.re = Fraction(2)
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1.0, 1j, complex(2, 0)])
+def test_inexact_values_rejected(inexact):
+    with pytest.raises(TypeError):
+        Scalar(inexact)
+    with pytest.raises(TypeError):
+        Scalar(0, inexact)
+
+
+def test_hash_agrees_with_equality():
+    assert len({Scalar(1), 1, Fraction(1)}) == 1
+    assert {Fraction(1, 2): "half"}[Scalar(Fraction(1, 2))] == "half"
+    assert Scalar(1, 1) != 1 and len({Scalar(1, 1), Scalar(1)}) == 2
+
+
+@given(fractions_st, fractions_st)
+def test_hash_consistent_with_eq(re_, im_):
+    s = Scalar(re_, im_)
+    if im_ == 0:
+        assert s == re_ and hash(s) == hash(re_)

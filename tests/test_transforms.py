@@ -15,7 +15,8 @@ from bihomtrias.core import (
     full_report,
     zero_algebra,
 )
-from bihomtrias.derivations import derivation_space
+from bihomtrias.centroids import is_centroid_element
+from bihomtrias.derivations import derivation_space, is_derivation
 from bihomtrias.errors import PreconditionFailed, SingularMatrix
 from bihomtrias.matrices import Matrix, rank, vec_is_zero
 from bihomtrias.scalars import ONE, ZERO, Scalar
@@ -37,6 +38,7 @@ from bihomtrias.transforms import (
     swap_maps,
     total_sum,
     transport,
+    retag,
     untwist,
 )
 
@@ -487,3 +489,45 @@ def test_transport_preserves_invariants_sample():
             moved = centroid_space(t)
             assert moved.linear_dim == cent.linear_dim
             assert moved.identically_zero == cent.identically_zero
+
+
+# -- the shared twist-commutation check -------------------------------------
+
+_ENDOMORPHISM_CHECKERS = {
+    "is_derivation": lambda a, u: is_derivation(a, u),
+    "is_centroid_element": lambda a, u: is_centroid_element(a, u),
+    "rota_baxter_check": lambda a, u: rota_baxter_check(a, RotaBaxterData(u, ZERO)),
+    "rota_baxter_check_single": lambda a, u: rota_baxter_check_single(
+        BiHomAlgebra("single", a.dim, retag(a.left, STAR), a.alpha, a.beta),
+        RotaBaxterData(u, ZERO),
+    ),
+    "averaging_check": lambda a, u: averaging_check(a, u),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(_ENDOMORPHISM_CHECKERS))
+def test_noncommuting_map_gets_commute_alpha_witness(checker):
+    a = catalog_get("BTas_2^1").algebra
+    u = LinearMap.unit(2, 0, 0)  # E11: u(alpha(e2)) = e1, alpha(u(e2)) = 0
+    ok, witnesses = _ENDOMORPHISM_CHECKERS[checker](a, u)
+    assert not ok
+    lhs, rhs = u.compose(a.alpha), a.alpha.compose(u)
+    expected = [
+        ("commute-alpha", i + 1, None, lhs.image_of_basis(i), rhs.image_of_basis(i))
+        for i in range(2)
+        if lhs.image_of_basis(i) != rhs.image_of_basis(i)
+    ]
+    assert expected == [("commute-alpha", 2, None, (ONE, ZERO), (ZERO, ZERO))]
+    assert [w for w in witnesses if w[0] == "commute-alpha"] == expected
+
+
+def test_morphism_twist_witnesses_compare_against_target():
+    a = catalog_get("BTas_2^1").algebra
+    b = transport(a, LinearMap.from_rows([[ZERO, ONE], [ONE, ZERO]]))
+    report = is_morphism(LinearMap.identity(2), a, b)
+    twist = [w for w in report.witnesses if w[0] == "map"]
+    assert {w[1] for w in twist} == {"alpha", "beta"}
+    for _, name, i, j, lhs, rhs in twist:
+        assert j is None
+        assert lhs == getattr(a, name).image_of_basis(i - 1)
+        assert rhs == getattr(b, name).image_of_basis(i - 1)
