@@ -14,7 +14,13 @@ import time
 from dataclasses import dataclass
 
 from . import catalog_data
-from .centroids import centroid_linear_space, centroid_space, is_centroid_element
+from .centroids import (
+    cent_der_property_suite,
+    central_derivations,
+    centroid_linear_space,
+    centroid_space,
+    is_centroid_element,
+)
 from .coordinate import coordinate_detail
 from .core import (
     LEFT,
@@ -31,9 +37,9 @@ from .derivations import derivation_row, derivation_space
 from .documents import algebra_to_document
 from .errors import DimensionMismatch, UnknownId
 from .matrices import Matrix, rank
-from .reports import CentroidRow, ErrataRecord, map_to_strings, published_unit_claims, witness_to_dict
-from .scalars import ONE, ZERO
-from .transforms import is_isomorphism
+from .reports import CentroidRow, ErrataRecord, map_to_strings, published_unit_claims
+from .scalars import ONE, ZERO, Scalar
+from .transforms import RotaBaxterData, is_isomorphism, rota_baxter_check
 
 
 def _tensor_from_spec(dim, role, spec):
@@ -387,7 +393,7 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
                     f"axiom:{res.axiom_id}",
                     "identity holds on all basis tuples",
                     {"failing_tuples": len(res.witnesses)},
-                    witness_to_dict(w),
+                    w.to_dict(),
                 )
             )
     if not combined.all_hold:
@@ -447,9 +453,6 @@ def catalog_verify(entry_id: str | None = None) -> CatalogVerification:
 def rota_baxter_example_report(weights=(0, 1, -2)):
     """Verify the published operator R = -w id on the example algebra for
     each spot weight; failures become errata with the failing pair."""
-    from .scalars import Scalar
-    from .transforms import RotaBaxterData, rota_baxter_check
-
     algebra = rota_baxter_example()
     results = []
     errata = []
@@ -466,7 +469,7 @@ def rota_baxter_example_report(weights=(0, 1, -2)):
                     f"rota-baxter:weight={w}",
                     "the published operator verifies the weighted identities",
                     {"holds": False, "failing_pairs": len(witnesses)},
-                    {"identity": first[0], "pair": [first[1], first[2]]},
+                    {"identity": first.check, "pair": [first.i, first.j]},
                 )
             )
     return results, errata
@@ -476,8 +479,6 @@ def interaction_report():
     """Cent/Der interaction over the whole catalog: compositions, the
     equality of central derivations with Cent intersect Der, and the
     composition equivalences; every deviation is an errata record."""
-    from .centroids import cent_der_property_suite, central_derivations
-
     rows = []
     errata = []
     for name in _ORDER:

@@ -29,11 +29,19 @@ from itertools import combinations
 
 from dataclasses import dataclass
 
-from .core import ROLES, BiHomTrialgebra, LinearMap, products_span, twist_commutation_witnesses
+from .core import (
+    ROLES,
+    BiHomTrialgebra,
+    LinearMap,
+    basis_witnesses,
+    products_span,
+    twist_commutation_witnesses,
+)
 from .derivations import derivation_space, is_derivation, twisted_leibniz_rows
 from .errors import DimensionMismatch
 from .matrices import (
     Matrix,
+    combination,
     in_span,
     nullspace,
     row_space,
@@ -98,15 +106,8 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> Cen
             ]
         )
     kernel = nullspace(Matrix.from_rows(sub_rows)) if sub_rows else [unit_vec(m, i) for i in range(m)]
-    vecs = []
-    for coeffs in kernel:
-        x = [ZERO] * n
-        for c, h in zip(coeffs, h_vectors):
-            if not c.is_zero:
-                for u in range(n):
-                    x[u] = x[u] + c * h[u]
-        if not vec_is_zero(tuple(x)):
-            vecs.append(tuple(x))
+    combos = (combination(coeffs, h_vectors) for coeffs in kernel)
+    vecs = [x for x in combos if not vec_is_zero(x)]
     space = row_space(vecs)
     return CentralizerSpace(
         tuple(h_vectors), tuple(space.row(r) for r in range(space.rows)), True
@@ -135,15 +136,16 @@ def is_centroid_element(algebra: BiHomTrialgebra, psi: LinearMap, right_chain="a
             first_right = [algebra.alpha.apply(psi_img[j]) for j in range(n)]
         else:
             first_right = ab_img
-        for i in range(n):
-            for j in range(n):
-                middle = t.bilinear(psi_img[i], psi_img[j])
-                first = t.bilinear(psi_img[i], first_right[j])
-                third = t.bilinear(ab_img[i], psi_img[j])
-                if first != middle:
-                    witnesses.append((f"{role}:outer-vs-middle", i + 1, j + 1, first, middle))
-                if middle != third:
-                    witnesses.append((f"{role}:middle-vs-outer", i + 1, j + 1, middle, third))
+        middle = [[t.bilinear(psi_img[i], psi_img[j]) for j in range(n)] for i in range(n)]
+
+        def mid(i, j):
+            return middle[i][j]
+
+        witnesses += basis_witnesses(
+            n, 2,
+            (f"{role}:outer-vs-middle", lambda i, j: t.bilinear(psi_img[i], first_right[j]), mid),
+            (f"{role}:middle-vs-outer", mid, lambda i, j: t.bilinear(ab_img[i], psi_img[j])),
+        )
     return not witnesses, tuple(witnesses)
 
 
@@ -329,16 +331,9 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
     d = len(k_basis)
 
     def params_to_maps(param_vectors):
-        flats = []
-        for pv in param_vectors:
-            acc = [ZERO] * (algebra.dim * algebra.dim)
-            for coeff, b in zip(pv, basis):
-                if not coeff.is_zero:
-                    for idx, x in enumerate(b.flatten()):
-                        if not x.is_zero:
-                            acc[idx] = acc[idx] + coeff * x
-            flats.append(acc)
-        space = row_space([f for f in flats if not vec_is_zero(tuple(f))])
+        basis_flats = [b.flatten() for b in basis]
+        flats = [combination(pv, basis_flats) for pv in param_vectors]
+        space = row_space([f for f in flats if not vec_is_zero(f)])
         return tuple(
             LinearMap.from_flat(algebra.dim, space.row(r)) for r in range(space.rows)
         )
@@ -550,7 +545,7 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
                     "centroid-subspace-soundness",
                     f"subspace basis element {pi + 1} passes the centroid definition",
                     {"matrix": map_to_strings(phi)},
-                    wit[0][0] if wit else None,
+                    wit[0].check if wit else None,
                 )
             )
             continue

@@ -14,7 +14,7 @@ import sys
 
 from .catalog import catalog_get, catalog_list, catalog_verify
 from .centroids import centroid_space
-from .core import full_report
+from .core import LEFT, MIDDLE, RIGHT, BiHomTrialgebra, MulTensor, full_report
 from .derivations import derivation_space
 from .documents import (
     algebra_to_document,
@@ -23,7 +23,7 @@ from .documents import (
     serialize_algebra,
 )
 from .errors import BihomtriasError, ParseError
-from .reports import map_to_strings, witness_to_dict
+from .reports import map_to_strings
 from .scalars import parse_scalar
 from .transforms import (
     RotaBaxterData,
@@ -68,7 +68,7 @@ def _axiom_payload(report):
         if not res.holds:
             witnesses[res.axiom_id] = {
                 "failing_tuples": len(res.witnesses),
-                "first": witness_to_dict(res.witnesses[0]),
+                "first": res.witnesses[0].to_dict(),
             }
     return checks, witnesses
 
@@ -200,8 +200,6 @@ def _cmd_construct(args, fmt):
     elif args.kind == "total-sum":
         algebra = _load_algebra(args.a)
         candidate, witnesses = total_sum(algebra)
-        from .core import BiHomTrialgebra, MulTensor, LEFT, MIDDLE, RIGHT
-
         # Export the single product as an algebra document with the sum in
         # every slot zeroed except left, which carries the product.
         result = BiHomTrialgebra(
@@ -237,9 +235,7 @@ def _cmd_rb(args, fmt):
         "algebra": algebra.name,
         "weight": args.weight,
         "holds": ok,
-        "failing_pairs": [
-            [w[0], w[1], w[2]] for w in witnesses
-        ],
+        "failing_pairs": [[w.check, w.i, w.j] for w in witnesses],
     }
 
     def render(p):

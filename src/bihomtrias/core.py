@@ -4,7 +4,7 @@ An algebra is stored as three structure-constant tensors (left product
 ``x -| y``, right product ``x |- y``, middle product ``x _|_ y``) plus the
 two twisting maps alpha and beta, all over Q(i).  Nothing is assumed at
 construction time: the defining axioms are *checked*, and failures are
-returned as data (witness triples with both sides' values), never raised.
+returned as data (witnesses carrying both sides' values), never raised.
 
 Indices are 0-based internally and 1-based in I/O and reports.
 
@@ -33,10 +33,11 @@ and multiplicativity (a subclass property, checked but never required):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, Vector, inverse, vec_is_zero, zero_vec
-from .scalars import ONE, ZERO, Scalar
+from .matrices import Matrix, Vector, inverse, rank, vec_is_zero, zero_vec
+from .scalars import ONE, ZERO, Scalar, format_scalar
 
 LEFT = "left"
 RIGHT = "right"
@@ -200,8 +201,6 @@ class LinearMap:
         return LinearMap(inverse(self.matrix))
 
     def is_invertible(self) -> bool:
-        from .matrices import rank
-
         return rank(self.matrix) == self.dim
 
     def flatten(self) -> Vector:
@@ -308,18 +307,14 @@ def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
     """Basis vectors on which u . f != g . u for the twist pairs (f, g).
 
     ``g`` is the matching twist of ``target`` (default: ``algebra`` itself,
-    the commutation every endomorphism check requires).  Each failure is
-    ``("commute-alpha"|"commute-beta", i, None, lhs, rhs)``, i 1-based.
+    the commutation every endomorphism check requires).  Returns a list of
+    ``commute-alpha`` witnesses, then ``commute-beta`` ones.
     """
     target = algebra if target is None else target
     witnesses = []
     for name, f, g in (("alpha", algebra.alpha, target.alpha), ("beta", algebra.beta, target.beta)):
-        lhs, rhs = u.compose(f), g.compose(u)
-        if lhs != rhs:
-            for i in range(u.dim):
-                li, ri = lhs.image_of_basis(i), rhs.image_of_basis(i)
-                if li != ri:
-                    witnesses.append((f"commute-{name}", i + 1, None, li, ri))
+        lhs, rhs = u.compose(f).image_of_basis, g.compose(u).image_of_basis
+        witnesses += basis_witnesses(u.dim, 1, (f"commute-{name}", lhs, rhs))
     return witnesses
 
 
@@ -327,8 +322,11 @@ def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
 
 @dataclass(frozen=True)
 class Witness:
-    """One failing basis tuple, with both sides' values (indices 1-based)."""
+    """One failing basis tuple of the identity named ``check``, with both
+    sides' values.  Indices are 1-based; ``j`` and ``k`` are None past the
+    identity's arity."""
 
+    check: str
     i: int
     j: int | None
     k: int | None
@@ -337,6 +335,36 @@ class Witness:
 
     def key(self):
         return (self.i, self.j, self.k)
+
+    def to_dict(self):
+        """The ``{"i", "j", "k", "lhs", "rhs"}`` form of the axiom reports."""
+        return {
+            "i": self.i,
+            "j": self.j,
+            "k": self.k,
+            "lhs": [format_scalar(x) for x in self.lhs],
+            "rhs": [format_scalar(x) for x in self.rhs],
+        }
+
+    def to_list(self):
+        """The ``[check, i, j, lhs, rhs]`` form of the basis-claim errata."""
+        d = self.to_dict()
+        return [self.check, self.i, self.j, d["lhs"], d["rhs"]]
+
+
+def basis_witnesses(n: int, arity: int, *identities):
+    """Lazily yield a :class:`Witness` for every basis tuple where an identity fails.
+
+    Each identity is a ``(check, lhs_fn, rhs_fn)`` triple whose functions
+    take ``arity`` 0-based basis indices and return vectors.  The tuples
+    are visited in lexicographic order, and at each tuple the identities
+    are tried in the given order.
+    """
+    for idx in product(range(n), repeat=arity):
+        for check, lhs_fn, rhs_fn in identities:
+            lhs, rhs = lhs_fn(*idx), rhs_fn(*idx)
+            if lhs != rhs:
+                yield Witness(check, *(x + 1 for x in idx), *(None,) * (3 - arity), lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -389,13 +417,9 @@ _PRODUCT_AXIOMS = (
 )
 
 
-def _side_value(algebra, side, i, j, k, alpha_img, beta_img):
-    kind, inner, outer = side
-    t_in = algebra.tensor(inner)
-    t_out = algebra.tensor(outer)
-    if kind == "S1":
-        return t_out.bilinear(t_in.pair(i, j), beta_img[k])
-    return t_out.bilinear(alpha_img[i], t_in.pair(j, k))
+def _axiom_result(n, arity, identity):
+    witnesses = tuple(basis_witnesses(n, arity, identity))
+    return AxiomResult(identity[0], not witnesses, witnesses)
 
 
 def check_axioms(algebra: BiHomTrialgebra) -> AxiomReport:
@@ -404,61 +428,31 @@ def check_axioms(algebra: BiHomTrialgebra) -> AxiomReport:
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
 
-    results = []
+    def side(kind, inner, outer):
+        t_in, t_out = algebra.tensor(inner), algebra.tensor(outer)
+        if kind == "S1":
+            return lambda i, j, k: t_out.bilinear(t_in.pair(i, j), beta_img[k])
+        return lambda i, j, k: t_out.bilinear(alpha_img[i], t_in.pair(j, k))
 
-    c0_witnesses = []
-    for i in range(n):
-        lhs = algebra.alpha.apply(beta_img[i])
-        rhs = algebra.beta.apply(alpha_img[i])
-        if lhs != rhs:
-            c0_witnesses.append(Witness(i + 1, None, None, lhs, rhs))
-    results.append(AxiomResult("C0", not c0_witnesses, tuple(c0_witnesses)))
-
-    for axiom_id, lhs_side, rhs_side in _PRODUCT_AXIOMS:
-        witnesses = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = _side_value(algebra, lhs_side, i, j, k, alpha_img, beta_img)
-                    rhs = _side_value(algebra, rhs_side, i, j, k, alpha_img, beta_img)
-                    if lhs != rhs:
-                        witnesses.append(Witness(i + 1, j + 1, k + 1, lhs, rhs))
-        results.append(AxiomResult(axiom_id, not witnesses, tuple(witnesses)))
-
-    return AxiomReport(tuple(results))
-
-
-_MULT_CHECKS = (
-    ("M1", "alpha", LEFT),
-    ("M2", "beta", LEFT),
-    ("M3", "alpha", RIGHT),
-    ("M4", "beta", RIGHT),
-    ("M5", "alpha", MIDDLE),
-    ("M6", "beta", MIDDLE),
-)
+    a, b = algebra.alpha, algebra.beta
+    c0 = ("C0", lambda i: a.apply(beta_img[i]), lambda i: b.apply(alpha_img[i]))
+    return AxiomReport((_axiom_result(n, 1, c0),) + tuple(
+        _axiom_result(n, 3, (aid, side(*lhs), side(*rhs))) for aid, lhs, rhs in _PRODUCT_AXIOMS
+    ))
 
 
 def check_multiplicativity(algebra: BiHomTrialgebra) -> AxiomReport:
     """Check that alpha and beta are endomorphisms of each product (basis pairs)."""
     n = algebra.dim
-    maps = {"alpha": algebra.alpha, "beta": algebra.beta}
-    images = {
-        name: [m.image_of_basis(i) for i in range(n)] for name, m in maps.items()
-    }
-    results = []
-    for check_id, map_name, role in _MULT_CHECKS:
-        f = maps[map_name]
-        img = images[map_name]
-        tensor = algebra.tensor(role)
-        witnesses = []
-        for i in range(n):
-            for j in range(n):
-                lhs = f.apply(tensor.pair(i, j))
-                rhs = tensor.bilinear(img[i], img[j])
-                if lhs != rhs:
-                    witnesses.append(Witness(i + 1, j + 1, None, lhs, rhs))
-        results.append(AxiomResult(check_id, not witnesses, tuple(witnesses)))
-    return AxiomReport(tuple(results))
+
+    def identity(cid, role, map_name):
+        f, t = getattr(algebra, map_name), algebra.tensor(role)
+        img = [f.image_of_basis(i) for i in range(n)]
+        return (cid, lambda i, j: f.apply(t.pair(i, j)), lambda i, j: t.bilinear(img[i], img[j]))
+
+    # M1..M6: alpha, then beta, as endomorphisms of -|, |- and _|_ in turn
+    checks = zip(MULT_IDS, product(ROLES, ("alpha", "beta")))
+    return AxiomReport(tuple(_axiom_result(n, 2, identity(cid, *rm)) for cid, rm in checks))
 
 
 def full_report(algebra: BiHomTrialgebra) -> AxiomReport:
@@ -494,6 +488,7 @@ __all__ = [
     "evaluate",
     "twist_commutation_witnesses",
     "Witness",
+    "basis_witnesses",
     "AxiomResult",
     "AxiomReport",
     "check_axioms",

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ROLES, BiHomTrialgebra, LinearMap, twist_commutation_witnesses
+from .core import ROLES, BiHomTrialgebra, LinearMap, basis_witnesses, twist_commutation_witnesses
 from .errors import DimensionMismatch
-from .matrices import Matrix, nullspace
+from .matrices import Matrix, nullspace, vec_add
 from .reports import DerivationRow, ErrataRecord, map_to_strings, published_unit_claims
 from .scalars import ZERO
 
@@ -34,17 +34,11 @@ def is_derivation(algebra: BiHomTrialgebra, d: LinearMap):
     d_img = [d.image_of_basis(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)
-        for i in range(n):
-            for j in range(n):
-                lhs = d.apply(t.pair(i, j))
-                rhs = tuple(
-                    a + b
-                    for a, b in zip(
-                        t.bilinear(d_img[i], ab_img[j]), t.bilinear(ab_img[i], d_img[j])
-                    )
-                )
-                if lhs != rhs:
-                    witnesses.append((role, i + 1, j + 1, lhs, rhs))
+        witnesses += basis_witnesses(n, 2, (
+            role,
+            lambda i, j: d.apply(t.pair(i, j)),
+            lambda i, j: vec_add(t.bilinear(d_img[i], ab_img[j]), t.bilinear(ab_img[i], d_img[j])),
+        ))
     return not witnesses, tuple(witnesses)
 
 

@@ -33,9 +33,15 @@ import json
 from .core import LEFT, MIDDLE, RIGHT, BiHomTrialgebra, LinearMap, MulTensor
 from .errors import DimensionError, ParseError
 from .matrices import Matrix
+from .reports import map_to_strings
 from .scalars import format_scalar, parse_scalar
 
 _PRODUCT_KEYS = (("left", LEFT), ("right", RIGHT), ("middle", MIDDLE))
+
+# Largest dim an algebra document may declare.  Products are dense n^3 tensors
+# and the axiom sweep costs about n^6 operations; the catalog stops at dim 3,
+# direct sums of its entries at 6.
+MAX_DIM = 8
 
 
 def _check_index(value, dim, location):
@@ -80,6 +86,9 @@ def _parse_map(rows, dim, key):
 
 
 def document_to_algebra(doc: dict) -> BiHomTrialgebra:
+    """Build the algebra a document describes; raises ParseError on a
+    malformed document and DimensionError on an out-of-range index or a
+    dim above MAX_DIM."""
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be a JSON object")
     unknown = set(doc) - {"name", "dim", "left", "right", "middle", "alpha", "beta"}
@@ -91,6 +100,8 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} exceeds the limit of {MAX_DIM}", "dim")
     tensors = {}
     for key, role in _PRODUCT_KEYS:
         tensors[role] = _parse_tensor(doc.get(key, []), dim, role, key)
@@ -106,11 +117,8 @@ def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
         for (i, j, k), v in algebra.tensor(role).nonzero_entries():
             records.append({"i": i + 1, "j": j + 1, "k": k + 1, "c": format_scalar(v)})
         doc[key] = records
-    for key, m in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        doc[key] = [
-            [format_scalar(m.matrix[r, c]) for c in range(algebra.dim)]
-            for r in range(algebra.dim)
-        ]
+    doc["alpha"] = map_to_strings(algebra.alpha)
+    doc["beta"] = map_to_strings(algebra.beta)
     return doc
 
 
@@ -144,7 +152,4 @@ def parse_operator(text: str, expected_dim: int | None = None) -> LinearMap:
 
 
 def serialize_operator(op: LinearMap) -> str:
-    rows = [
-        [format_scalar(op.matrix[r, c]) for c in range(op.dim)] for r in range(op.dim)
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(map_to_strings(op), indent=2) + "\n"

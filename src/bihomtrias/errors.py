@@ -27,7 +27,8 @@ class ParseError(BihomtriasError):
 
 
 class DimensionError(ParseError):
-    """A basis index in a document is out of range for the declared dim."""
+    """A basis index in a document is out of range for the declared dim,
+    or the declared dim exceeds the document limit."""
 
 
 class UnknownId(BihomtriasError):

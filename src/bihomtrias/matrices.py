@@ -35,6 +35,17 @@ def vec_scale(c: Scalar, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
+def combination(coeffs, vectors) -> Vector:
+    """sum_m coeffs[m] * vectors[m], skipping zero coefficients and entries."""
+    acc = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero:
+            for idx, x in enumerate(v):
+                if not x.is_zero:
+                    acc[idx] = acc[idx] + c * x
+    return tuple(acc)
+
+
 def vec_is_zero(x: Vector) -> bool:
     return all(a.is_zero for a in x)
 
@@ -306,14 +317,6 @@ def span_intersection(vs, ws):
     for r in range(n):
         row = [v[r] for v in vs] + [-w[r] for w in ws]
         entries.extend(row)
-    kernel = nullspace(Matrix(n, cols, entries))
-    out = []
-    for k in kernel:
-        x = zero_vec(n)
-        for coeff, v in zip(k[: len(vs)], vs):
-            if not coeff.is_zero:
-                x = vec_add(x, vec_scale(coeff, tuple(v)))
-        if not vec_is_zero(x):
-            out.append(x)
-    space = row_space(out)
+    combos = (combination(k[: len(vs)], vs) for k in nullspace(Matrix(n, cols, entries)))
+    space = row_space([x for x in combos if not vec_is_zero(x)])
     return [space.row(r) for r in range(space.rows)]

@@ -26,10 +26,6 @@ def map_to_strings(m: LinearMap):
     ]
 
 
-def vector_to_strings(v):
-    return [format_scalar(x) for x in v]
-
-
 @dataclass(frozen=True)
 class ErrataRecord:
     entry: str
@@ -152,25 +148,7 @@ def published_unit_claims(entry_id, dim, units, check, span_flats, kind, expecte
                     f"{kind}:{label}",
                     expected.format(label),
                     {"passes": False, "transpose_passes": t_ok, **recomputed},
-                    witness_to_dict(wit[0]) if wit else None,
+                    wit[0].to_list() if wit else None,
                 )
             )
     return tuple(claims), errata
-
-
-def witness_to_dict(w):
-    """Serialize a core.Witness or a loose witness tuple."""
-    if hasattr(w, "i"):
-        return {
-            "i": w.i,
-            "j": w.j,
-            "k": w.k,
-            "lhs": vector_to_strings(w.lhs),
-            "rhs": vector_to_strings(w.rhs),
-        }
-    return list(
-        vector_to_strings(part)
-        if isinstance(part, tuple) and part and hasattr(part[0], "re")
-        else part
-        for part in w
-    )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ParseError
 
@@ -160,8 +161,21 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
+_CHUNK_DIGITS = 4000  # below the interpreter's default int-to-str limit of 4,300 digits
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _format_int(n: int) -> str:
+    """Decimal digits of n, in 4,000-digit chunks where str(n) would refuse."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    high, low = divmod(abs(n), _CHUNK)
+    return ("-" if n < 0 else "") + _format_int(high) + str(low).zfill(_CHUNK_DIGITS)
+
+
 def _format_rat(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = _format_int(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_format_int(f.denominator)}"
 
 
 def format_scalar(s: Scalar) -> str:
@@ -176,8 +190,6 @@ def format_scalar(s: Scalar) -> str:
 
 def rational_sqrt(q: Fraction):
     """Exact square root in Q, or None when q is not a rational square."""
-    from math import isqrt
-
     if q < 0:
         return None
     if q == 0:

@@ -19,6 +19,7 @@ from .core import (
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
+    basis_witnesses,
     check_axioms,
     twist_commutation_witnesses,
 )
@@ -67,7 +68,7 @@ class BracketPair:
 @dataclass(frozen=True)
 class MorphismReport:
     holds: bool
-    witnesses: tuple  # (kind, role_or_map, i, j, lhs, rhs), 1-based indices
+    witnesses: tuple  # Witness: commute-alpha/commute-beta, then one per product role
 
 
 def _tensor_from_pairs(dim, role, pair_fn) -> MulTensor:
@@ -83,19 +84,13 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
     """Check psi : a -> b intertwines the twists and all three products."""
     if psi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("morphism endpoints must share the map's dimension")
-    witnesses = [
-        ("map", tag.removeprefix("commute-"), i, j, li, ri)
-        for tag, i, j, li, ri in twist_commutation_witnesses(a, psi, target=b)
-    ]
+    witnesses = twist_commutation_witnesses(a, psi, target=b)
+    img = [psi.image_of_basis(i) for i in range(a.dim)]
     for role in ROLES:
         ta, tb = a.tensor(role), b.tensor(role)
-        for i in range(a.dim):
-            pi = psi.image_of_basis(i)
-            for j in range(a.dim):
-                lhs = psi.apply(ta.pair(i, j))
-                rhs = tb.bilinear(pi, psi.image_of_basis(j))
-                if lhs != rhs:
-                    witnesses.append(("product", role, i + 1, j + 1, lhs, rhs))
+        witnesses += basis_witnesses(a.dim, 2, (
+            role, lambda i, j: psi.apply(ta.pair(i, j)), lambda i, j: tb.bilinear(img[i], img[j])
+        ))
     return MorphismReport(not witnesses, tuple(witnesses))
 
 
@@ -244,63 +239,44 @@ def graph_subalgebra_check(xi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra
 
 # -- Rota-Baxter operators ----------------------------------------------
 
+def _rota_baxter_witnesses(algebra, rb: RotaBaxterData, identities):
+    """Twist commutation, then R(x) o R(y) = R(R(x) p y + x p R(y) + w x p y)
+    on basis pairs for each ``(check, o, p)`` of outer and inner products."""
+    r, lam = rb.op, rb.weight
+    if r.dim != algebra.dim:
+        raise DimensionMismatch("operator dimension mismatch")
+    n = algebra.dim
+    witnesses = twist_commutation_witnesses(algebra, r)
+    r_img = [r.image_of_basis(i) for i in range(n)]
+    e = [unit_vec(n, i) for i in range(n)]
+    for check, outer, inner in identities:
+        def lhs(i, j):
+            return outer.bilinear(r_img[i], r_img[j])
+
+        def rhs(i, j):
+            inside = vec_add(inner.bilinear(r_img[i], e[j]), inner.bilinear(e[i], r_img[j]))
+            return r.apply(vec_add(inside, vec_scale(lam, inner.pair(i, j))))
+
+        witnesses += basis_witnesses(n, 2, (check, lhs, rhs))
+    return not witnesses, tuple(witnesses)
+
+
 def rota_baxter_check(algebra: BiHomTrialgebra, rb: RotaBaxterData):
     """Verify the weighted Rota-Baxter identities on all basis pairs.
 
     Note the left/right crossing: the |- of two R-images expands through
     -| arguments and vice versa; the middle product stays uncrossed.
     """
-    r, lam = rb.op, rb.weight
-    if r.dim != algebra.dim:
-        raise DimensionMismatch("operator dimension mismatch")
-    n = algebra.dim
-    witnesses = twist_commutation_witnesses(algebra, r)
-    r_img = [r.image_of_basis(i) for i in range(n)]
-    identities = (
-        ("rb-right-of-left", RIGHT, LEFT),
-        ("rb-left-of-right", LEFT, RIGHT),
-        ("rb-middle", MIDDLE, MIDDLE),
-    )
-    for tag, outer_role, inner_role in identities:
-        outer = algebra.tensor(outer_role)
-        inner = algebra.tensor(inner_role)
-        for i in range(n):
-            ei = unit_vec(n, i)
-            for j in range(n):
-                ej = unit_vec(n, j)
-                lhs = outer.bilinear(r_img[i], r_img[j])
-                inside = vec_add(
-                    vec_add(inner.bilinear(r_img[i], ej), inner.bilinear(ei, r_img[j])),
-                    vec_scale(lam, inner.pair(i, j)),
-                )
-                rhs = r.apply(inside)
-                if lhs != rhs:
-                    witnesses.append((tag, i + 1, j + 1, lhs, rhs))
-    return not witnesses, tuple(witnesses)
+    return _rota_baxter_witnesses(algebra, rb, (
+        ("rb-right-of-left", algebra.right, algebra.left),
+        ("rb-left-of-right", algebra.left, algebra.right),
+        ("rb-middle", algebra.middle, algebra.middle),
+    ))
 
 
 def rota_baxter_check_single(algebra: BiHomAlgebra, rb: RotaBaxterData):
     """Single-product Rota-Baxter identity R(x)*R(y) = R(R(x)*y + x*R(y) + w x*y)."""
-    r, lam = rb.op, rb.weight
-    if r.dim != algebra.dim:
-        raise DimensionMismatch("operator dimension mismatch")
-    n = algebra.dim
-    mu = algebra.mu
-    witnesses = twist_commutation_witnesses(algebra, r)
-    r_img = [r.image_of_basis(i) for i in range(n)]
-    for i in range(n):
-        ei = unit_vec(n, i)
-        for j in range(n):
-            ej = unit_vec(n, j)
-            lhs = mu.bilinear(r_img[i], r_img[j])
-            inside = vec_add(
-                vec_add(mu.bilinear(r_img[i], ej), mu.bilinear(ei, r_img[j])),
-                vec_scale(lam, mu.pair(i, j)),
-            )
-            rhs = r.apply(inside)
-            if lhs != rhs:
-                witnesses.append(("rb-single", i + 1, j + 1, lhs, rhs))
-    return not witnesses, tuple(witnesses)
+    return _rota_baxter_witnesses(algebra, rb, (("rb-single", algebra.mu, algebra.mu),))
 
 
 @dataclass(frozen=True)
@@ -415,46 +391,40 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
     ab_img = [algebra.alpha.apply(beta_img[k]) for k in range(n)]
+    e = [unit_vec(n, i) for i in range(n)]
 
-    def sweep(z_img):
-        witnesses = []
-        for i in range(n):
-            ei = unit_vec(n, i)
-            for j in range(n):
-                ej = unit_vec(n, j)
-                br_ij = bracket.pair(i, j)
-                for k in range(n):
-                    ek = unit_vec(n, k)
-                    lhs = star.bilinear(br_ij, z_img[k])
-                    rhs = vec_add(
-                        bracket.bilinear(star.bilinear(ei, ek), beta_img[j]),
-                        bracket.bilinear(alpha_img[i], star.bilinear(ej, ek)),
-                    )
-                    if lhs != rhs:
-                        witnesses.append((i + 1, j + 1, k + 1, lhs, rhs))
-        return tuple(witnesses)
+    def rhs(i, j, k):
+        return vec_add(
+            bracket.bilinear(star.bilinear(e[i], e[k]), beta_img[j]),
+            bracket.bilinear(alpha_img[i], star.bilinear(e[j], e[k])),
+        )
 
-    return CommutatorReport(BracketPair(star, bracket), sweep(beta_img), sweep(ab_img))
+    def sweep(check, z_img):
+        def lhs(i, j, k):
+            return star.bilinear(bracket.pair(i, j), z_img[k])
+
+        return tuple(basis_witnesses(n, 3, (check, lhs, rhs)))
+
+    return CommutatorReport(
+        BracketPair(star, bracket),
+        sweep("commutator-beta", beta_img),
+        sweep("commutator-alphabeta", ab_img),
+    )
 
 
 # -- total sum and averaging ---------------------------------------------
 
 def bihom_associativity_witnesses(algebra: BiHomAlgebra):
-    """Failing triples of (x*y)*b(z) = a(x)*(y*z), 1-based."""
+    """Failing triples of (x*y)*b(z) = a(x)*(y*z)."""
     n = algebra.dim
     mu = algebra.mu
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            pij = mu.pair(i, j)
-            for k in range(n):
-                lhs = mu.bilinear(pij, beta_img[k])
-                rhs = mu.bilinear(alpha_img[i], mu.pair(j, k))
-                if lhs != rhs:
-                    witnesses.append((i + 1, j + 1, k + 1, lhs, rhs))
-    return tuple(witnesses)
+    return tuple(basis_witnesses(n, 3, (
+        "bihom-associativity",
+        lambda i, j, k: mu.bilinear(mu.pair(i, j), beta_img[k]),
+        lambda i, j, k: mu.bilinear(alpha_img[i], mu.pair(j, k)),
+    )))
 
 
 def total_sum(algebra: BiHomTrialgebra):
@@ -475,44 +445,33 @@ def total_sum(algebra: BiHomTrialgebra):
     return candidate, bihom_associativity_witnesses(candidate)
 
 
+def _averaging_witnesses(t: MulTensor, f: LinearMap, prefix=""):
+    """Lazily, the basis pairs failing f(f(x)*y) = f(x)*f(y) (``first``) or
+    f(x)*f(y) = f(x*f(y)) (``second``) under the product t."""
+    n = t.dim
+    img = [f.image_of_basis(i) for i in range(n)]
+    e = [unit_vec(n, i) for i in range(n)]
+    middle = [[t.bilinear(img[i], img[j]) for j in range(n)] for i in range(n)]
+
+    def mid(i, j):
+        return middle[i][j]
+
+    return basis_witnesses(
+        n, 2,
+        (prefix + "first", lambda i, j: f.apply(t.bilinear(img[i], e[j])), mid),
+        (prefix + "second", mid, lambda i, j: f.apply(t.bilinear(e[i], img[j]))),
+    )
+
+
 def averaging_check(algebra: BiHomTrialgebra, xi: LinearMap):
     """xi(xi(x)*y) = xi(x)*xi(y) = xi(x*xi(y)) on basis pairs, all products,
     plus commutation with the twists."""
     if xi.dim != algebra.dim:
         raise DimensionMismatch("operator dimension mismatch")
-    n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, xi)
-    xi_img = [xi.image_of_basis(i) for i in range(n)]
     for role in ROLES:
-        t = algebra.tensor(role)
-        for i in range(n):
-            ei = unit_vec(n, i)
-            for j in range(n):
-                ej = unit_vec(n, j)
-                middle_val = t.bilinear(xi_img[i], xi_img[j])
-                first = xi.apply(t.bilinear(xi_img[i], ej))
-                second = xi.apply(t.bilinear(ei, xi_img[j]))
-                if first != middle_val:
-                    witnesses.append((f"{role}:first", i + 1, j + 1))
-                if middle_val != second:
-                    witnesses.append((f"{role}:second", i + 1, j + 1))
+        witnesses += _averaging_witnesses(algebra.tensor(role), xi, f"{role}:")
     return not witnesses, tuple(witnesses)
-
-
-def averaging_check_single(mu: MulTensor, f: LinearMap):
-    """Averaging identity of a map with respect to one product."""
-    n = mu.dim
-    img = [f.image_of_basis(i) for i in range(n)]
-    for i in range(n):
-        ei = unit_vec(n, i)
-        for j in range(n):
-            ej = unit_vec(n, j)
-            middle_val = mu.bilinear(img[i], img[j])
-            if f.apply(mu.bilinear(img[i], ej)) != middle_val:
-                return False, (f"first", i + 1, j + 1)
-            if f.apply(mu.bilinear(ei, img[j])) != middle_val:
-                return False, (f"second", i + 1, j + 1)
-    return True, None
 
 
 def averaging_induced(algebra: BiHomAlgebra) -> tuple:
@@ -522,11 +481,11 @@ def averaging_induced(algebra: BiHomAlgebra) -> tuple:
     Raises PreconditionFailed naming the first failing averaging identity.
     """
     for name, f in (("alpha", algebra.alpha), ("beta", algebra.beta)):
-        ok, witness = averaging_check_single(algebra.mu, f)
-        if not ok:
+        w = next(_averaging_witnesses(algebra.mu, f), None)
+        if w is not None:
             raise PreconditionFailed(
-                f"{name} is not an averaging operator: fails {witness[0]} identity "
-                f"at basis pair ({witness[1]}, {witness[2]})"
+                f"{name} is not an averaging operator: fails {w.check} identity "
+                f"at basis pair ({w.i}, {w.j})"
             )
     n = algebra.dim
     mu = algebra.mu

@@ -118,7 +118,7 @@ def test_literal_right_chain_variant_differs():
     default_ok, default_wit = is_centroid_element(a, psi)
     literal_ok, literal_wit = is_centroid_element(a, psi, right_chain="literal")
     assert not default_ok and not literal_ok
-    assert {w[0] for w in default_wit} != {w[0] for w in literal_wit}
+    assert {w.check for w in default_wit} != {w.check for w in literal_wit}
 
 
 # -- centroid spaces -------------------------------------------------------------

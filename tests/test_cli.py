@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +179,39 @@ def test_malformed_scalar_in_document_exits_2(tmp_path, capsys, coefficient):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_product_beyond_the_str_digit_limit_is_reported(tmp_path, capsys):
+    """A 3,000-digit coefficient squares to a 6,000-digit witness value,
+    past the interpreter's 4,300-digit int-to-str limit."""
+    c = "7" * 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "dim": 1, "left": [{"i": 1, "j": 1, "k": 1, "c": c}], "alpha": [["1"]], "beta": [["1"]],
+    }))
+    assert main(["verify", str(path)]) == 0
+    assert "A2a  FAIL" in capsys.readouterr().out
+    assert main(["--strict", "--format", "structured", "verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lhs = json.loads(out)["witnesses"]["A2a"]["first"]["lhs"][0]
+    assert len(lhs) == 6000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert lhs == str(int(c) ** 2)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_huge_dim_exits_2_quickly(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 100000}))
+    start = time.perf_counter()
+    r = run_cli("verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
 def test_oversized_scalar_exits_2_without_traceback(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.core import zero_algebra
 from bihomtrias.documents import (
+    MAX_DIM,
     parse_algebra,
     parse_operator,
     serialize_algebra,
@@ -69,6 +70,13 @@ def test_out_of_range_index_is_dimension_error():
         parse_algebra(json.dumps(doc))
     assert "out of range" in str(err.value)
     assert "left[0].j" in str(err.value)
+
+
+def test_dim_above_limit_is_dimension_error():
+    assert parse_algebra(json.dumps({"dim": MAX_DIM})).dim == MAX_DIM
+    with pytest.raises(DimensionError) as err:
+        parse_algebra(json.dumps({"dim": MAX_DIM + 1}))
+    assert "exceeds the limit" in str(err.value)
 
 
 def test_malformed_json_reports_line():

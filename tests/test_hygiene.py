@@ -1,10 +1,12 @@
 """Static hygiene of the package source (stdlib ``ast`` only).
 
-Two leftovers a refactor tends to leave behind are caught here:
-``from ... import`` names that no longer have a use in their module, and
-module-level private functions that nothing references any more.  The
-package ``__init__`` (whose imports are re-exports) and
-``from __future__ import annotations`` are exempt.
+Leftovers a refactor tends to leave behind are caught here: ``from ...
+import`` names that no longer have a use in their module, module-level
+private functions that nothing references any more, and imports inside a
+function body (no package module needs one to break an import cycle).
+The package ``__init__`` (whose imports are re-exports) and
+``from __future__ import annotations`` are exempt from the unused-name
+check.
 """
 
 from __future__ import annotations
@@ -64,3 +66,15 @@ def test_private_functions_are_referenced():
         and node.name not in used
     ]
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    local = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local, f"{path.name} imports inside functions at {local}"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,27 @@ def test_no_rounding_on_random_sweep():
         assert (a + b) - b == a
         if b:
             assert (a * b) / b == a
+
+
+def test_format_integers_beyond_the_str_digit_limit():
+    """Canonical strings stay exact where str(int) refuses (over 4,300 digits)."""
+    big = 7 ** 20000  # 16,902 digits
+    cases = [
+        (Scalar(big), lambda s: s),
+        (Scalar(-big), lambda s: "-" + s),
+        (Scalar(Fraction(1, big)), lambda s: "1/" + s),
+        (Scalar(3, -big), lambda s: "3-" + s + "i"),
+    ]
+    for value, expected in cases:
+        text = format_scalar(value)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == expected(str(big))
+        finally:
+            sys.set_int_max_str_digits(saved)
+    assert format_scalar(Scalar(10 ** 4000)) == "1" + "0" * 4000
+    assert format_scalar(Scalar(10 ** 4000 - 1)) == "9" * 4000
 
 
 def test_rational_sqrt():

@@ -219,7 +219,7 @@ def test_rb_example_weights():
         ok, witnesses = rota_baxter_check(ex, RotaBaxterData(op, lam))
         assert ok is expected
         if not expected:
-            assert (witnesses[0][1], witnesses[0][2]) == (2, 1)
+            assert (witnesses[0].i, witnesses[0].j) == (2, 1)
 
 
 def test_rb_zero_operator_weight_zero_holds_everywhere():
@@ -518,16 +518,19 @@ def test_noncommuting_map_gets_commute_alpha_witness(checker):
         if lhs.image_of_basis(i) != rhs.image_of_basis(i)
     ]
     assert expected == [("commute-alpha", 2, None, (ONE, ZERO), (ZERO, ZERO))]
-    assert [w for w in witnesses if w[0] == "commute-alpha"] == expected
+    assert [
+        (w.check, w.i, w.j, w.lhs, w.rhs) for w in witnesses if w.check == "commute-alpha"
+    ] == expected
 
 
 def test_morphism_twist_witnesses_compare_against_target():
     a = catalog_get("BTas_2^1").algebra
     b = transport(a, LinearMap.from_rows([[ZERO, ONE], [ONE, ZERO]]))
     report = is_morphism(LinearMap.identity(2), a, b)
-    twist = [w for w in report.witnesses if w[0] == "map"]
-    assert {w[1] for w in twist} == {"alpha", "beta"}
-    for _, name, i, j, lhs, rhs in twist:
-        assert j is None
-        assert lhs == getattr(a, name).image_of_basis(i - 1)
-        assert rhs == getattr(b, name).image_of_basis(i - 1)
+    twist = [w for w in report.witnesses if w.check.startswith("commute-")]
+    assert {w.check.removeprefix("commute-") for w in twist} == {"alpha", "beta"}
+    for w in twist:
+        name = w.check.removeprefix("commute-")
+        assert w.j is None
+        assert w.lhs == getattr(a, name).image_of_basis(w.i - 1)
+        assert w.rhs == getattr(b, name).image_of_basis(w.i - 1)
