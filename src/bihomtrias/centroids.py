@@ -33,7 +33,9 @@ from .core import (
     ROLES,
     BiHomTrialgebra,
     LinearMap,
+    ab_images,
     basis_witnesses,
+    per_algebra,
     products_span,
     twist_commutation_witnesses,
 )
@@ -65,8 +67,7 @@ class CentralizerSpace:
 def _centralizer_rows(algebra: BiHomTrialgebra, h_vectors):
     """Rows in the n unknowns of x for ab(x)*h = 0 and h*ab(x) = 0."""
     n = algebra.dim
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_cols = [ab.image_of_basis(u) for u in range(n)]
+    ab_cols = ab_images(algebra)
     rows = []
     for h in h_vectors:
         for role in ROLES:
@@ -127,8 +128,7 @@ def is_centroid_element(algebra: BiHomTrialgebra, psi: LinearMap, right_chain="a
         raise DimensionMismatch("centroid candidate dimension mismatch")
     n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, psi)
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_img = [ab.image_of_basis(i) for i in range(n)]
+    ab_img = ab_images(algebra)
     psi_img = [psi.image_of_basis(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)
@@ -206,18 +206,20 @@ class CentroidSpace:
         return [list(b.flatten()) for b in self.linear_basis]
 
 
+@per_algebra
 def centroid_linear_space(algebra: BiHomTrialgebra):
     """Stage 1: commutations plus the outer equality, as canonical maps."""
     kernel = nullspace(Matrix.from_rows(twisted_leibniz_rows(algebra, with_image=False)))
     return tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
 
 
-def _obstruction_polys(algebra: BiHomTrialgebra, basis):
-    """Substitute psi = sum t_m B_m into psi(x)*psi(y) - psi(x)*ab(y)."""
+def _obstruction_polys(algebra: BiHomTrialgebra):
+    """Substitute psi = sum t_m B_m, over the stage-1 basis B, into
+    psi(x)*psi(y) - psi(x)*ab(y)."""
     n = algebra.dim
+    basis = centroid_linear_space(algebra)
     m = len(basis)
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_img = [ab.image_of_basis(i) for i in range(n)]
+    ab_img = ab_images(algebra)
     b_img = [[b.image_of_basis(i) for i in range(n)] for b in basis]
     polys = {}
     for role in ROLES:
@@ -301,10 +303,11 @@ def _binary_form_lines(forms):
     return sorted(common, key=lambda l: (format_scalar(l[0]), format_scalar(l[1])))
 
 
+@per_algebra
 def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
     basis = centroid_linear_space(algebra)
     m = len(basis)
-    polys = _obstruction_polys(algebra, basis)
+    polys = _obstruction_polys(algebra)
     identically_zero = not polys
     too_large = m > 2 and not identically_zero
 
@@ -421,23 +424,30 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
 @dataclass(frozen=True)
 class CentralDerivations:
     basis: tuple              # LinearMaps: image in Z(A), kernel contains A*A
-    center_basis: tuple       # basis of Z_A(A)
-    squared_basis: tuple      # basis of A*A
     cent_inter_der: tuple     # verified centroid subspace intersect Der
     stage1_inter_der: tuple   # stage-1 linear space intersect Der
     contains_intersection: bool
     equals_intersection: bool
 
 
+@per_algebra
 def _central_conditions(algebra: BiHomTrialgebra):
     """The conditions defining central derivations: the rows of Z_A(A) in
-    the n unknowns of a vector, the canonical basis of A*A, and the n^2
-    rows in the unknowns of a map psi (flattened (q, p) row-major) for
-    psi(e_p) in Z_A(A) and psi(A*A) = 0."""
+    the n unknowns of a vector, and the canonical basis of A*A."""
     n = algebra.dim
     center_rows = _centralizer_rows(algebra, [unit_vec(n, i) for i in range(n)])
     squared = row_space(products_span(algebra))
-    squared_basis = [squared.row(r) for r in range(squared.rows)]
+    return tuple(map(tuple, center_rows)), tuple(squared.row(r) for r in range(squared.rows))
+
+
+@per_algebra
+def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
+    """Maps with image in the full centralizer and kernel containing A*A,
+    cross-checked against Cent intersect Der."""
+    n = algebra.dim
+    center_rows, squared_basis = _central_conditions(algebra)
+    # n^2 unknowns psi_qp (flattened (q, p) row-major): psi(e_p) in Z_A(A)
+    # and psi(A*A) = 0
     rows = []
     for crow in center_rows:
         for p in range(n):
@@ -453,15 +463,6 @@ def _central_conditions(algebra: BiHomTrialgebra):
                 if not v[p].is_zero:
                     row[r * n + p] = v[p]
             rows.append(row)
-    return center_rows, squared_basis, rows
-
-
-def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
-    """Maps with image in the full centralizer and kernel containing A*A,
-    cross-checked against Cent intersect Der."""
-    n = algebra.dim
-    center_rows, squared_basis, rows = _central_conditions(algebra)
-    z_basis = nullspace(Matrix.from_rows(center_rows))
     basis = tuple(LinearMap.from_flat(n, v) for v in nullspace(Matrix.from_rows(rows)))
 
     der = derivation_space(algebra)
@@ -479,8 +480,6 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     )
     return CentralDerivations(
         basis,
-        tuple(z_basis),
-        tuple(squared_basis),
         tuple(LinearMap.from_flat(n, v) for v in true_inter),
         tuple(LinearMap.from_flat(n, v) for v in stage1_inter),
         contains,
@@ -488,13 +487,9 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     )
 
 
-def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap, conditions=None) -> bool:
-    """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0.
-
-    ``conditions`` may carry ``_central_conditions(algebra)`` precomputed,
-    for callers that test many maps on one algebra.
-    """
-    center_rows, squared_basis, _ = conditions or _central_conditions(algebra)
+def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
+    """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0."""
+    center_rows, squared_basis = _central_conditions(algebra)
     n = algebra.dim
     for p in range(n):
         col = psi.image_of_basis(p)
@@ -533,7 +528,6 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
     entry_id = entry_id or algebra.name
     der = derivation_space(algebra)
     cent = centroid_space(algebra)
-    conditions = _central_conditions(algebra)
     records = []
     failures = []
     for pi, phi in enumerate(cent.subspace_basis):
@@ -556,8 +550,8 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
             phi_d_der = is_derivation(algebra, phi_d)[0]
             d_phi_cent = is_centroid_element(algebra, d_phi)[0]
             d_phi_der = is_derivation(algebra, d_phi)[0]
-            phi_d_central = is_central_derivation(algebra, phi_d, conditions)
-            bracket_central = is_central_derivation(algebra, bracket, conditions)
+            phi_d_central = is_central_derivation(algebra, phi_d)
+            bracket_central = is_central_derivation(algebra, bracket)
             rec = {
                 "phi": f"phi{pi + 1}",
                 "d": f"d{di + 1}",

@@ -219,8 +219,11 @@ def _cmd_construct(args, fmt):
         psi = parse_operator(_read(args.map), expected_dim=algebra.dim)
         result = transport(algebra, psi)
     text = serialize_algebra(result)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {args.output}: {e.strerror}") from None
     payload = {"written": args.output, "name": result.name, "dim": result.dim}
     _emit(payload, fmt, lambda p: print(f"wrote {p['written']} ({p['name']}, dim {p['dim']})"))
     return 0

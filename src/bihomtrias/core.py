@@ -33,6 +33,7 @@ and multiplicativity (a subclass property, checked but never required):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product
 
 from .errors import DimensionMismatch
@@ -226,10 +227,12 @@ class LinearMap:
 class BiHomTrialgebra:
     """Three products plus two twisting maps on a common dimension.
 
-    No axiom is enforced here; use :func:`check_axioms`.
+    No axiom is enforced here; use :func:`check_axioms`.  ``_memo`` holds
+    the analyses of :func:`per_algebra` functions; equality, hashing and
+    the repr ignore it.
     """
 
-    __slots__ = ("name", "dim", "left", "right", "middle", "alpha", "beta")
+    __slots__ = ("name", "dim", "left", "right", "middle", "alpha", "beta", "_memo")
 
     def __init__(self, name, dim, left, right, middle, alpha, beta):
         for t, role in ((left, LEFT), (right, RIGHT), (middle, MIDDLE)):
@@ -246,6 +249,7 @@ class BiHomTrialgebra:
         object.__setattr__(self, "middle", middle)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BiHomTrialgebra is immutable")
@@ -284,6 +288,31 @@ class BiHomTrialgebra:
 
     def __repr__(self):
         return f"BiHomTrialgebra({self.name!r}, dim={self.dim})"
+
+
+def per_algebra(fn):
+    """Compute ``fn(algebra)`` once per algebra object and keep the result
+    in the algebra's ``_memo`` for as long as the object lives.
+
+    The key is the object, not its value: equal algebras may carry
+    different names (see :meth:`BiHomTrialgebra.renamed`), and the cached
+    analyses record the name.  Only immutable results may be cached.
+    """
+    @wraps(fn)
+    def cached(algebra):
+        memo = algebra._memo
+        if fn not in memo:
+            memo[fn] = fn(algebra)
+        return memo[fn]
+
+    return cached
+
+
+@per_algebra
+def ab_images(algebra: BiHomTrialgebra):
+    """The images alpha(beta(e_i)) of the basis vectors, in basis order."""
+    ab = algebra.alpha.compose(algebra.beta)
+    return tuple(ab.image_of_basis(i) for i in range(algebra.dim))
 
 
 def zero_algebra(dim: int, name: str = "zero") -> BiHomTrialgebra:
@@ -455,6 +484,7 @@ def check_multiplicativity(algebra: BiHomTrialgebra) -> AxiomReport:
     return AxiomReport(tuple(_axiom_result(n, 2, identity(cid, *rm)) for cid, rm in checks))
 
 
+@per_algebra
 def full_report(algebra: BiHomTrialgebra) -> AxiomReport:
     """Axioms plus multiplicativity in one report (covers all check ids)."""
     return check_axioms(algebra).merged(check_multiplicativity(algebra))
@@ -484,6 +514,8 @@ __all__ = [
     "MulTensor",
     "LinearMap",
     "BiHomTrialgebra",
+    "per_algebra",
+    "ab_images",
     "zero_algebra",
     "evaluate",
     "twist_commutation_witnesses",

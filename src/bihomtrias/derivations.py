@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ROLES, BiHomTrialgebra, LinearMap, basis_witnesses, twist_commutation_witnesses
+from .core import (
+    ROLES,
+    BiHomTrialgebra,
+    LinearMap,
+    ab_images,
+    basis_witnesses,
+    per_algebra,
+    twist_commutation_witnesses,
+)
 from .errors import DimensionMismatch
 from .matrices import Matrix, nullspace, vec_add
 from .reports import DerivationRow, ErrataRecord, map_to_strings, published_unit_claims
@@ -29,8 +37,7 @@ def is_derivation(algebra: BiHomTrialgebra, d: LinearMap):
         raise DimensionMismatch("derivation candidate dimension mismatch")
     n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, d)
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_img = [ab.image_of_basis(i) for i in range(n)]
+    ab_img = ab_images(algebra)
     d_img = [d.image_of_basis(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)
@@ -70,8 +77,7 @@ def twisted_leibniz_rows(algebra: BiHomTrialgebra, with_image: bool):
     """
     n = algebra.dim
     rows = map_commutation_rows(algebra.alpha) + map_commutation_rows(algebra.beta)
-    ab = algebra.alpha.compose(algebra.beta)
-    ab_img = [ab.image_of_basis(i) for i in range(n)]
+    ab_img = ab_images(algebra)
     for role in ROLES:
         c = algebra.tensor(role).c
         for i in range(n):
@@ -174,6 +180,7 @@ class DerivationSpace:
         return [list(b.flatten()) for b in self.basis]
 
 
+@per_algebra
 def derivation_space(algebra: BiHomTrialgebra) -> DerivationSpace:
     """Canonical basis of the space of twisted derivations."""
     kernel = nullspace(derivation_system(algebra))

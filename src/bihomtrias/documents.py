@@ -44,6 +44,11 @@ _PRODUCT_KEYS = (("left", LEFT), ("right", RIGHT), ("middle", MIDDLE))
 MAX_DIM = 8
 
 
+def _check_dim(dim):
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} exceeds the limit of {MAX_DIM}", "dim")
+
+
 def _check_index(value, dim, location):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"index must be an integer, got {value!r}", location)
@@ -100,8 +105,7 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
-    if dim > MAX_DIM:
-        raise DimensionError(f"dim {dim} exceeds the limit of {MAX_DIM}", "dim")
+    _check_dim(dim)
     tensors = {}
     for key, role in _PRODUCT_KEYS:
         tensors[role] = _parse_tensor(doc.get(key, []), dim, role, key)
@@ -111,6 +115,9 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
 
 
 def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
+    """The canonical document of an algebra; raises DimensionError above
+    MAX_DIM, since no reading command would accept the document."""
+    _check_dim(algebra.dim)
     doc = {"name": algebra.name, "dim": algebra.dim}
     for key, role in _PRODUCT_KEYS:
         records = []

@@ -220,3 +220,21 @@ def test_oversized_scalar_exits_2_without_traceback(tmp_path):
     r = run_cli("verify", str(path))
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-parent", "directory"])
+def test_construct_to_unwritable_path_exits_2(tmp_path, capsys, a21_file, target):
+    output = str(tmp_path / target)
+    assert main(["construct", "direct-sum", a21_file, a21_file, "-o", output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {output}:") and "Traceback" not in err
+
+
+def test_construct_direct_sum_past_the_dimension_limit_writes_nothing(tmp_path, capsys):
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"dim": 5}))
+    output = tmp_path / "sum.json"
+    assert main(["construct", "direct-sum", str(five), str(five), "-o", str(output)]) == 2
+    assert capsys.readouterr().err.startswith("error: dim 10 exceeds the limit of 8")
+    assert not output.exists()

@@ -6,6 +6,7 @@ from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.core import zero_algebra
 from bihomtrias.documents import (
     MAX_DIM,
+    algebra_to_document,
     parse_algebra,
     parse_operator,
     serialize_algebra,
@@ -77,6 +78,14 @@ def test_dim_above_limit_is_dimension_error():
     with pytest.raises(DimensionError) as err:
         parse_algebra(json.dumps({"dim": MAX_DIM + 1}))
     assert "exceeds the limit" in str(err.value)
+
+
+def test_serializing_above_the_limit_is_dimension_error():
+    assert algebra_to_document(zero_algebra(MAX_DIM))["dim"] == MAX_DIM
+    for write in (algebra_to_document, serialize_algebra):
+        with pytest.raises(DimensionError) as err:
+            write(zero_algebra(MAX_DIM + 1))
+        assert "exceeds the limit" in str(err.value)
 
 
 def test_malformed_json_reports_line():

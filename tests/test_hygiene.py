@@ -4,7 +4,8 @@ Leftovers a refactor tends to leave behind are caught here: ``from ...
 import`` names that no longer have a use in their module, module-level
 private functions that nothing references any more, and imports inside a
 function body (no package module needs one to break an import cycle).
-The package ``__init__`` (whose imports are re-exports) and
+The independent audit routes, which the checks compare against, must not
+share the per-algebra memo or its helpers.  The package ``__init__`` (whose imports are re-exports) and
 ``from __future__ import annotations`` are exempt from the unused-name
 check.
 """
@@ -78,3 +79,31 @@ def test_no_function_local_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not local, f"{path.name} imports inside functions at {local}"
+
+
+MEMO_NAMES = {"per_algebra", "ab_images", "_memo"}
+
+
+def _independent_routes():
+    derivations = _tree(PACKAGE / "derivations.py")
+    indexform = next(
+        node for node in derivations.body
+        if isinstance(node, ast.FunctionDef) and node.name == "derivation_system_indexform"
+    )
+    return {
+        "coordinate.py": _tree(PACKAGE / "coordinate.py"),
+        "derivation_system_indexform": indexform,
+        "tests/oracles.py": _tree(Path(__file__).resolve().parent / "oracles.py"),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(_independent_routes()))
+def test_independent_routes_do_not_use_the_memo(route):
+    tree = _independent_routes()[route]
+    names = _used_names(tree, attributes=True) | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not names & MEMO_NAMES, f"{route} references {sorted(names & MEMO_NAMES)}"
