@@ -308,7 +308,6 @@ def per_algebra(fn):
     return cached
 
 
-@per_algebra
 def ab_images(algebra: BiHomTrialgebra):
     """The images alpha(beta(e_i)) of the basis vectors, in basis order."""
     ab = algebra.alpha.compose(algebra.beta)
@@ -515,7 +514,6 @@ __all__ = [
     "LinearMap",
     "BiHomTrialgebra",
     "per_algebra",
-    "ab_images",
     "zero_algebra",
     "evaluate",
     "twist_commutation_witnesses",

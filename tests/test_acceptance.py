@@ -59,6 +59,7 @@ def rand_invertible(rng, n, lo=-1, hi=1):
             return LinearMap(m)
 
 
+@pytest.mark.usefixtures("cold_catalog")
 def test_criterion_1_catalog_well_definedness():
     parts = []
     with criterion(1, parts):
@@ -96,6 +97,7 @@ def test_criterion_1_catalog_well_definedness():
         parts.append("BTas_2^7 ambiguity record present")
 
 
+@pytest.mark.usefixtures("cold_catalog")
 def test_criterion_2_derivation_tables():
     parts = []
     with criterion(2, parts):
@@ -165,6 +167,7 @@ def test_criterion_2_derivation_tables():
         parts.append(f"runtime {elapsed:.2f}s")
 
 
+@pytest.mark.usefixtures("cold_catalog")
 def test_criterion_3_centroid_tables():
     parts = []
     with criterion(3, parts):
@@ -245,6 +248,7 @@ def test_criterion_3_centroid_tables():
         parts.append(f"runtime {elapsed:.2f}s")
 
 
+@pytest.mark.usefixtures("cold_catalog")
 def test_criterion_4_construction_property_suites():
     parts = []
     with criterion(4, parts):

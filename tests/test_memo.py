@@ -17,12 +17,12 @@ from bihomtrias.centroids import (
     centroid_space,
     is_central_derivation,
 )
-from bihomtrias.core import LinearMap, ab_images, full_report
+from bihomtrias.core import LinearMap, full_report
 from bihomtrias.derivations import derivation_space
 from bihomtrias.scalars import Scalar
 
 ANALYSES = (full_report, derivation_space, centroid_linear_space, centroid_space,
-            central_derivations, ab_images)
+            central_derivations)
 
 
 def fresh(entry_id):
@@ -63,8 +63,8 @@ def test_renamed_copy_has_its_own_analyses():
     assert derivation_space(x) == dataclasses.replace(derivation_space(a), algebra="x")
 
 
-def test_audit_sequence_builds_the_leibniz_system_twice(monkeypatch):
-    """Once for Der, once for the centroid's linear stage."""
+def count_leibniz_builds(monkeypatch):
+    """Record the ``with_image`` flag of every twisted Leibniz system built."""
     calls = []
     original = derivations.twisted_leibniz_rows
 
@@ -74,6 +74,12 @@ def test_audit_sequence_builds_the_leibniz_system_twice(monkeypatch):
 
     monkeypatch.setattr(derivations, "twisted_leibniz_rows", counted)
     monkeypatch.setattr(centroids, "twisted_leibniz_rows", counted)
+    return calls
+
+
+def test_audit_sequence_builds_the_leibniz_system_twice(monkeypatch):
+    """Once for Der, once for the centroid's linear stage."""
+    calls = count_leibniz_builds(monkeypatch)
     entry = catalog_get("BTas_3^1")
     audit(entry, fresh(entry.id))
     assert sorted(calls) == [False, True]
@@ -104,7 +110,7 @@ def test_every_cached_value_is_immutable(entry_id):
     a = fresh(entry_id)
     audit(entry, a)
     is_central_derivation(a, LinearMap.zero(a.dim))
-    assert len(a._memo) == 7
+    assert len(a._memo) == 6
     for fn, value in a._memo.items():
         assert isinstance(value, tuple) or dataclasses.is_dataclass(value), fn.__name__
         assert _immutable(value), fn.__name__
@@ -115,3 +121,17 @@ def test_catalog_entries_keep_their_analyses():
     a = catalog_get("BTas_2^5").algebra
     assert a._memo[derivation_space.__wrapped__] is derivation_space(a)
     assert a._memo[centroid_space.__wrapped__] is centroid_space(a)
+
+
+def test_cold_catalog_makes_catalog_verify_recompute(cold_catalog, monkeypatch):
+    """A warm catalog_verify() reads the memo; the fixture of the timed
+    tests clears it, so they time a recomputation."""
+    calls = count_leibniz_builds(monkeypatch)
+    catalog_verify()
+    cold = len(calls)
+    assert cold >= 2 * 31
+    catalog_verify()
+    assert len(calls) == cold
+    cold_catalog()
+    catalog_verify()
+    assert len(calls) == 2 * cold
