@@ -4,8 +4,9 @@ The catalog keeps the published tables verbatim (including their two
 contradictory duplicate lines, stored as candidate readings) and treats
 every recomputation disagreement as data: an errata record naming the
 violated check, the published value, the recomputed value and a witness.
-Where an index transposition of a published matrix would fix a failing
-table entry, the record says so, clearly labeled as conjectural.
+Each published basis matrix is re-verified together with its index
+transpose; the claim and its errata record report the latter as
+``transpose_passes``, and nothing is ever repaired or applied.
 """
 
 from __future__ import annotations
@@ -231,33 +232,6 @@ def verify_isomorphism(a_id: str, b_id: str, psi: LinearMap) -> bool:
 
 # -- verification harness ----------------------------------------------------
 
-def _conjectured_twist_repair(entry: CatalogEntry):
-    """One bounded repair attempt for twist-commutation failures: extend
-    beta to agree with alpha on basis vectors beta kills.  Conjectural."""
-    a = entry.algebra
-    n = a.dim
-    changed = False
-    images = {}
-    for i in range(n):
-        col = a.beta.image_of_basis(i)
-        if all(x.is_zero for x in col):
-            acol = a.alpha.image_of_basis(i)
-            if not all(x.is_zero for x in acol):
-                images[i] = acol
-                changed = True
-                continue
-        images[i] = col
-    if not changed:
-        return None
-    repaired = BiHomTrialgebra(
-        f"{entry.id}[beta-extended]", n, a.left, a.right, a.middle, a.alpha,
-        LinearMap.from_images(n, images),
-    )
-    if full_report(repaired).all_hold:
-        return repaired
-    return None
-
-
 def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     algebra = entry.algebra
     space = centroid_space(algebra)
@@ -325,10 +299,6 @@ class EntryVerification:
     def multiplicative(self):
         return all(ok for cid, ok in self.checks if cid.startswith("M"))
 
-    @property
-    def all_checks_pass(self):
-        return all(ok for _, ok in self.checks)
-
     def to_dict(self):
         return {
             "entry": self.entry,
@@ -359,13 +329,6 @@ class CatalogVerification:
             out.extend(e.centroid.errata)
         return out
 
-    @property
-    def clean(self):
-        return all(e.axioms_pass for e in self.entries) and not any(
-            e.derivation.status == "mismatch" or e.centroid.status == "mismatch"
-            for e in self.entries
-        )
-
     def to_dict(self):
         # run timing deliberately excluded: structured output must be
         # byte-identical across runs
@@ -394,22 +357,6 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
                     "identity holds on all basis tuples",
                     {"failing_tuples": len(res.witnesses)},
                     w.to_dict(),
-                )
-            )
-    if not combined.all_hold:
-        repaired = _conjectured_twist_repair(entry)
-        if repaired is not None:
-            errata.append(
-                ErrataRecord(
-                    entry.id,
-                    "conjectural-correction",
-                    "all axioms hold after a conjectured one-line repair",
-                    {
-                        "conjecture": "extend beta by the alpha-images on basis vectors beta kills",
-                        "repaired_beta": map_to_strings(repaired.beta),
-                        "status": "conjectural, not applied to the stored entry",
-                    },
-                    None,
                 )
             )
     ambiguity = []

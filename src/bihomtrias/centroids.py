@@ -162,14 +162,9 @@ class QuadraticPoly:
     def is_zero(self):
         return not self.quad and not self.lin
 
-    def eval_quad(self, v):
-        acc = ZERO
-        for (a, b), coeff in self.quad:
-            acc = acc + coeff * v[a] * v[b]
-        return acc
-
     def polar(self, u, v):
-        """Symmetric bilinear form with polar(v, v) = eval_quad(v)."""
+        """Symmetric bilinear form of the quadratic part: polar(v, v) is
+        sum quad[(a,b)] v_a v_b."""
         acc = ZERO
         half = Scalar(1) / Scalar(2)
         for (a, b), coeff in self.quad:
@@ -196,11 +191,14 @@ class CentroidSpace:
     subspace_basis: tuple    # LinearMaps spanning that subspace
     solution_description: str
     method: str              # full | linear-part-reduction | exact-conic | coordinate-search
-    obstruction_too_large: bool
 
     @property
     def linear_dim(self):
         return len(self.linear_basis)
+
+    @property
+    def obstruction_too_large(self):
+        return self.linear_dim > 2 and not self.identically_zero
 
     def linear_flats(self):
         return [list(b.flatten()) for b in self.linear_basis]
@@ -309,13 +307,12 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
     m = len(basis)
     polys = _obstruction_polys(algebra)
     identically_zero = not polys
-    too_large = m > 2 and not identically_zero
 
     if identically_zero:
         return CentroidSpace(
             algebra.name, basis, polys, True, m, basis,
             "obstruction vanishes identically: the centroid is the full linear space",
-            "full", too_large,
+            "full",
         )
 
     # Kernel of all degree-1 parts: a subspace in the vanishing set must
@@ -345,7 +342,7 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         return CentroidSpace(
             algebra.name, basis, polys, False, 0, (),
             "degree-1 obstruction parts only vanish at 0: only the zero map",
-            "linear-part-reduction", too_large,
+            "linear-part-reduction",
         )
 
     grams = []
@@ -361,14 +358,14 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         return CentroidSpace(
             algebra.name, basis, polys, False, d, sub,
             f"quadratic parts vanish on the kernel of the degree-1 parts ({d} parameters)",
-            "linear-part-reduction", too_large,
+            "linear-part-reduction",
         )
 
     if d == 1:
         return CentroidSpace(
             algebra.name, basis, polys, False, 0, (),
             "single residual parameter with a nonzero quadratic obstruction: only the zero map",
-            "exact-conic", too_large,
+            "exact-conic",
         )
 
     if d == 2:
@@ -383,12 +380,12 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
                 f"({format_scalar(a)}, {format_scalar(b)})" for a, b in lines
             )
             return CentroidSpace(
-                algebra.name, basis, polys, False, 1, sub, desc, "exact-conic", too_large
+                algebra.name, basis, polys, False, 1, sub, desc, "exact-conic"
             )
         return CentroidSpace(
             algebra.name, basis, polys, False, 0, (),
             "residual conics share no rational root line: only the zero map",
-            "exact-conic", too_large,
+            "exact-conic",
         )
 
     # d >= 3: maximal coordinate clique in the residual quadric system.
@@ -415,7 +412,7 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         algebra.name, basis, polys, False, len(best), sub,
         f"maximal coordinate subspace(s) of {d} residual parameters "
         f"(verified lower bound; direction sets {listed})",
-        "coordinate-search", too_large,
+        "coordinate-search",
     )
 
 

@@ -47,6 +47,8 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
 def _load_algebra(path):

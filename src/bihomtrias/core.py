@@ -413,12 +413,6 @@ class AxiomReport:
     def all_hold(self) -> bool:
         return all(r.holds for r in self.results)
 
-    def result(self, axiom_id: str) -> AxiomResult:
-        for r in self.results:
-            if r.axiom_id == axiom_id:
-                return r
-        raise KeyError(axiom_id)
-
     def profile(self):
         """(axiom_id, holds) pairs in report order; an isomorphism invariant."""
         return tuple((r.axiom_id, r.holds) for r in self.results)

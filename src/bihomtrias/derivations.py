@@ -8,8 +8,8 @@ Leibniz rule twisted by alpha.beta on each of the three products:
 The space is computed as the exact kernel of the linear system in the
 n^2 unknowns d_qp (d(e_p) = sum_q d_qp e_q, flattened row-major in
 (q, p)), assembled from the abstract conditions evaluated on basis
-pairs.  A second assembly transcribing the published index-form systems
-acts as a cross-check oracle.
+pairs.  The test suite's oracles hold a second assembly transcribing the
+published index-form systems as a cross-check.
 """
 
 from __future__ import annotations
@@ -115,61 +115,6 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
     return Matrix.from_rows(twisted_leibniz_rows(algebra, with_image=True))
 
 
-def derivation_system_indexform(algebra: BiHomTrialgebra) -> Matrix:
-    """Cross-check assembly transcribing the index-form displays directly.
-
-    Same kernel as :func:`derivation_system`; kept as an independent
-    coding of the constraint sums (inline a/b products, no composed-map
-    shortcut).
-    """
-    n = algebra.dim
-    a = [[algebra.alpha.matrix[r, c] for c in range(n)] for r in range(n)]
-    b = [[algebra.beta.matrix[r, c] for c in range(n)] for r in range(n)]
-    rows = []
-    for mat in (a, b):
-        for k in range(n):
-            for q in range(n):
-                row = [ZERO] * (n * n)
-                for p in range(n):
-                    row[p * n + k] = row[p * n + k] + mat[q][p]
-                    row[q * n + p] = row[q * n + p] - mat[p][k]
-                rows.append(row)
-    for role in ROLES:
-        c = algebra.tensor(role).c
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    row = [ZERO] * (n * n)
-                    for p in range(n):
-                        v = c[i][j][p]
-                        if not v.is_zero:
-                            row[r * n + p] = row[r * n + p] + v
-                    for k in range(n):
-                        acc = ZERO
-                        for p in range(n):
-                            bpj = b[p][j]
-                            if bpj.is_zero:
-                                continue
-                            for q in range(n):
-                                if not a[q][p].is_zero and not c[k][q][r].is_zero:
-                                    acc = acc + bpj * a[q][p] * c[k][q][r]
-                        if not acc.is_zero:
-                            row[k * n + i] = row[k * n + i] - acc
-                    for p in range(n):
-                        acc = ZERO
-                        for k in range(n):
-                            bki = b[k][i]
-                            if bki.is_zero:
-                                continue
-                            for q in range(n):
-                                if not a[q][k].is_zero and not c[q][p][r].is_zero:
-                                    acc = acc + bki * a[q][k] * c[q][p][r]
-                        if not acc.is_zero:
-                            row[p * n + j] = row[p * n + j] - acc
-                    rows.append(row)
-    return Matrix.from_rows(rows)
-
-
 @dataclass(frozen=True)
 class DerivationSpace:
     algebra: str
@@ -213,11 +158,3 @@ def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
         entry_id, space.dim, paper_dim, status, space.basis, claims, tuple(errata)
     )
 
-
-def derivation_table_report(entries):
-    """Rows for every catalog entry; entries supply id, algebra,
-    paper_der_dim and paper_der_units."""
-    return [
-        derivation_row(e.id, e.algebra, e.paper_der_dim, e.paper_der_units)
-        for e in entries
-    ]

@@ -129,13 +129,19 @@ def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
     return doc
 
 
-def parse_algebra(text: str) -> BiHomTrialgebra:
-    """Parse an algebra document; raises ParseError/DimensionError with diagnostics."""
+def _load_json(text):
+    """Decode JSON text; ParseError when it is malformed or nested too deeply."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}") from None
-    return document_to_algebra(doc)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def parse_algebra(text: str) -> BiHomTrialgebra:
+    """Parse an algebra document; raises ParseError/DimensionError with diagnostics."""
+    return document_to_algebra(_load_json(text))
 
 
 def serialize_algebra(algebra: BiHomTrialgebra) -> str:
@@ -144,18 +150,17 @@ def serialize_algebra(algebra: BiHomTrialgebra) -> str:
 
 
 def parse_operator(text: str, expected_dim: int | None = None) -> LinearMap:
-    """Parse an operator document (dim x dim array of scalar strings)."""
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}") from None
+    """Parse an operator document (dim x dim array of scalar strings); the
+    dim is checked against MAX_DIM and ``expected_dim`` before any cell is
+    parsed."""
+    rows = _load_json(text)
     if not isinstance(rows, list) or not rows:
         raise ParseError("operator document must be a non-empty array of rows")
     dim = len(rows)
-    m = _parse_map(rows, dim, "operator")
+    _check_dim(dim)
     if expected_dim is not None and dim != expected_dim:
         raise DimensionError(f"operator is {dim}x{dim}, expected {expected_dim}x{expected_dim}")
-    return m
+    return _parse_map(rows, dim, "operator")
 
 
 def serialize_operator(op: LinearMap) -> str:

@@ -175,15 +175,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows,
-            [self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(

@@ -158,7 +158,6 @@ def _coerce(value) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 _CHUNK_DIGITS = 4000  # below the interpreter's default int-to-str limit of 4,300 digits

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import pytest
@@ -129,20 +131,6 @@ def test_ambiguity_record_surfaces():
     assert set(labels) == {"second-line-as-e2e2", "first-line-kept", "second-line-kept"}
 
 
-def test_conjectured_repair_recorded_when_found():
-    v = catalog_verify()
-    repaired = [
-        e.entry
-        for e in v.entries
-        if any(r.check == "conjectural-correction" for r in e.errata)
-    ]
-    # the repair is bounded and conjectural; record whatever it finds,
-    # but it must only appear on entries with failing checks
-    by_id = {e.entry: e for e in v.entries}
-    for name in repaired:
-        assert not by_id[name].all_checks_pass
-
-
 def test_documents_round_trip_byte_identical():
     docs = catalog_documents()
     assert len(docs) == 31
@@ -208,6 +196,17 @@ def test_interaction_report_logs_every_deviation():
     deviating = {r["entry"] for r in rows if not r["equals_intersection"]}
     logged = {e.entry for e in errata if e.check == "central-derivations-equality"}
     assert deviating == logged
+
+
+def test_interaction_report_bytes_are_pinned():
+    """The interaction report, byte for byte, as first recorded."""
+    rows, errata = interaction_report()
+    text = json.dumps({"rows": rows, "errata": [e.to_dict() for e in errata]}, indent=2)
+    assert len(errata) == 28
+    assert len(text.encode()) == 17_563
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4e29dd3abe1298a2e652b5f5a3cd13c18ffc618066f1321efbbbaca6376bd15c"
+    )
 
 
 def test_errata_log_deterministic():

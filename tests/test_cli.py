@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -43,6 +44,17 @@ def test_catalog_verify_all_structured_deterministic():
     payload = json.loads(r1.stdout)
     assert len(payload["entries"]) == 31
     assert "elapsed" not in r1.stdout
+
+
+def test_catalog_verify_all_structured_bytes_are_pinned(capsys):
+    """The structured audit output, byte for byte, as first recorded."""
+    assert main(["--format", "structured", "catalog", "verify", "--all"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 220_354
+    assert json.loads(out)["errata_count"] == 184
+    assert hashlib.sha256(out).hexdigest() == (
+        "29f2aab3459fe82d6feccf2ba864e6a09d92549cfd460c0abc7252f53f1d04f3"
+    )
 
 
 def test_catalog_verify_strict_exits_nonzero():
@@ -238,3 +250,26 @@ def test_construct_direct_sum_past_the_dimension_limit_writes_nothing(tmp_path, 
     assert main(["construct", "direct-sum", str(five), str(five), "-o", str(output)]) == 2
     assert capsys.readouterr().err.startswith("error: dim 10 exceeds the limit of 8")
     assert not output.exists()
+
+
+@pytest.fixture
+def unreadable_files(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    return {"deep": str(deep), "binary": str(binary)}
+
+
+@pytest.mark.parametrize("kind", ["deep", "binary"])
+@pytest.mark.parametrize("command", ["verify", "rb-op"])
+def test_unreadable_json_exits_2_without_traceback(capsys, a21_file, unreadable_files, kind,
+                                                   command):
+    path = unreadable_files[kind]
+    if command == "verify":
+        argv = ["verify", path]
+    else:
+        argv = ["rb", "verify", a21_file, "--op", path, "--weight", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bihomtrias import documents
 from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.core import zero_algebra
 from bihomtrias.documents import (
@@ -130,3 +131,23 @@ def test_operator_round_trip():
 def test_operator_document_rejects_ragged():
     with pytest.raises(ParseError):
         parse_operator('[["0", "0"], ["0"]]')
+
+
+@pytest.mark.parametrize(
+    "dim, expected_dim",
+    [(3, 2), (MAX_DIM + 1, None)],
+    ids=["mismatched", "over-the-limit"],
+)
+def test_operator_shape_is_checked_before_any_cell_is_parsed(monkeypatch, dim, expected_dim):
+    calls = []
+    original = documents.parse_scalar
+
+    def counted(text, location=None):
+        calls.append(location)
+        return original(text, location)
+
+    monkeypatch.setattr(documents, "parse_scalar", counted)
+    text = json.dumps([["1"] * dim] * dim)
+    with pytest.raises(DimensionError):
+        parse_operator(text, expected_dim=expected_dim)
+    assert calls == []

@@ -13,11 +13,13 @@ check.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bihomtrias"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bihomtrias"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -69,6 +71,60 @@ def test_private_functions_are_referenced():
     assert not unreferenced, f"private functions never referenced: {unreferenced}"
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each module-level function and constant
+    and each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(
+                    item.name
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not _dunder(t.id):
+                    yield t.id, t.id
+
+
+def _references(tree):
+    """Names read, attribute names, imported names and their aliases, and
+    the pieces of every string constant split on '.' and ':' (which covers
+    __all__ entries and dotted names looked up at run time)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update({node.name.rpartition(".")[2], node.asname})
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(re.split(r"[.:]", node.value))
+    return refs
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and constant of the package is used by name
+    somewhere in src/, tests/ or perfbench/."""
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    refs = set().union(*(_references(_tree(p)) for p in sources))
+    unreferenced = [
+        f"{path.name}:{qualified}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, name in _public_definitions(_tree(path))
+        if name not in refs
+    ]
+    assert not unreferenced, f"definitions never referenced: {unreferenced}"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     local = [
@@ -85,14 +141,8 @@ MEMO_NAMES = {"per_algebra", "ab_images", "_memo"}
 
 
 def _independent_routes():
-    derivations = _tree(PACKAGE / "derivations.py")
-    indexform = next(
-        node for node in derivations.body
-        if isinstance(node, ast.FunctionDef) and node.name == "derivation_system_indexform"
-    )
     return {
         "coordinate.py": _tree(PACKAGE / "coordinate.py"),
-        "derivation_system_indexform": indexform,
         "tests/oracles.py": _tree(Path(__file__).resolve().parent / "oracles.py"),
     }
 

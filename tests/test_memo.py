@@ -8,7 +8,7 @@ import dataclasses
 
 import pytest
 
-from bihomtrias import centroids, derivations
+from bihomtrias import centroids, core, derivations
 from bihomtrias.catalog import catalog_get, catalog_verify, fingerprint, verify_entry
 from bihomtrias.centroids import (
     cent_der_property_suite,
@@ -135,3 +135,19 @@ def test_cold_catalog_makes_catalog_verify_recompute(cold_catalog, monkeypatch):
     cold_catalog()
     catalog_verify()
     assert len(calls) == 2 * cold
+
+
+def test_warm_catalog_verify_runs_no_axiom_sweep(monkeypatch):
+    """Every axiom report of a catalog audit is a per-algebra analysis of
+    an entry or candidate algebra, so a second audit reads them all."""
+    catalog_verify()
+    calls = []
+    original = core.check_axioms
+
+    def counted(algebra):
+        calls.append(algebra.name)
+        return original(algebra)
+
+    monkeypatch.setattr(core, "check_axioms", counted)
+    catalog_verify()
+    assert calls == []
