@@ -44,9 +44,9 @@ _PRODUCT_KEYS = (("left", LEFT), ("right", RIGHT), ("middle", MIDDLE))
 MAX_DIM = 8
 
 
-def _check_dim(dim):
+def _check_dim(dim, location="dim"):
     if dim > MAX_DIM:
-        raise DimensionError(f"dim {dim} exceeds the limit of {MAX_DIM}", "dim")
+        raise DimensionError(f"dim {dim} exceeds the limit of {MAX_DIM}", location)
 
 
 def _check_index(value, dim, location):
@@ -157,7 +157,7 @@ def parse_operator(text: str, expected_dim: int | None = None) -> LinearMap:
     if not isinstance(rows, list) or not rows:
         raise ParseError("operator document must be a non-empty array of rows")
     dim = len(rows)
-    _check_dim(dim)
+    _check_dim(dim, "operator")
     if expected_dim is not None and dim != expected_dim:
         raise DimensionError(f"operator is {dim}x{dim}, expected {expected_dim}x{expected_dim}")
     return _parse_map(rows, dim, "operator")

@@ -1,9 +1,11 @@
 """Gaussian rational scalars.
 
-The field of computation is Q(i): pairs of reduced arbitrary-precision
-rationals.  ``fractions.Fraction`` already maintains the reduced-form
-invariant (gcd(|num|, den) = 1, den >= 1), so a scalar is just a pair of
-Fractions with field arithmetic on top.
+The field of computation is Q(i).  A Scalar stores three arbitrary-precision
+ints (a, b, d) and means (a + b i)/d.  Every Scalar is normalized:
+gcd(a, b, d) = 1 and d >= 1, so each element of Q(i) has exactly one triple
+and ``==`` compares ints.  Every operation works on the ints directly and
+restores the invariant with one multi-argument ``math.gcd``; ``re`` and
+``im`` are ``Fraction`` views made on demand.
 
 Text grammar (used by every file format)::
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ParseError
 
@@ -37,38 +39,67 @@ _SCALAR_RE = re.compile(
 
 
 class Scalar:
-    """An element of Q(i), immutable."""
+    """An element (a + b i)/d of Q(i), immutable, with gcd(a, b, d) = 1 and d >= 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_d(self, 1)
+            return
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise TypeError("Scalar takes exact values (int, Fraction), not float or complex")
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # ints and Fractions are already reduced and carry numerator/denominator
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        d = lcm(rd, id_)  # both Fractions are reduced, so gcd(a, b, d) = 1
+        _set_a(self, re.numerator * (d // rd))
+        _set_b(self, im.numerator * (d // id_))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        if not other.re and not other.im:
+        a2, b2, d2 = other._a, other._b, other._d
+        if not a2 and not b2:
             return self
-        if not self.re and not self.im:
+        a1, b1, d1 = self._a, self._b, self._d
+        if not a1 and not b1:
             return other
-        return _mk(self.re + other.re, self.im + other.im)
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        if not other.re and not other.im:
+        a2, b2, d2 = other._a, other._b, other._d
+        if not a2 and not b2:
             return self
-        return _mk(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -76,60 +107,64 @@ class Scalar:
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        sim, oim = self.im, other.im
-        if not sim and not oim:
-            sre, ore = self.re, other.re
-            if not sre or not ore:
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if not b1 and not b2:
+            if not a1 or not a2:
                 return ZERO
-            return _mk(sre * ore, sim)
-        return _mk(
-            self.re * other.re - sim * oim,
-            self.re * oim + sim * other.re,
-        )
+            return _reduced(a1 * a2, 0, d1 * d2)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # ((a1 + b1 i)/d1) / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
         if type(other) is not Scalar:
             other = _coerce(other)
-        if not other.im:
-            if not other.re:
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if not b2:
+            if not a2:
                 raise ZeroDivisionError("division by zero Scalar")
-            return _mk(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return _mk(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            if a2 < 0:
+                a2, d2 = -a2, -d2
+            return _reduced(a1 * d2, b1 * d2, d1 * a2)
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        d1 * (a2 * a2 + b2 * b2))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return _mk(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return _mk(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     # -- comparison / hashing ---------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # normalized triples are unique, so equality is equality of ints
+        if type(other) is Scalar:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
         # a real Scalar equals, so must hash like, its int or Fraction value
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     # -- text form ---------------------------------------------------
 
@@ -140,11 +175,20 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
-def _mk(re: Fraction, im: Fraction) -> Scalar:
-    """Internal fast constructor; both arguments must already be Fractions."""
+# __setattr__ refuses every assignment, so the constructors store through
+# the slot descriptors directly.
+_set_a, _set_b, _set_d = (Scalar.__dict__[f].__set__ for f in Scalar.__slots__)
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The internal constructor: (a + b i)/d for ints with d >= 1, normalized."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
     s = object.__new__(Scalar)
-    object.__setattr__(s, "re", re)
-    object.__setattr__(s, "im", im)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
     return s
 
 
@@ -172,19 +216,21 @@ def _format_int(n: int) -> str:
     return ("-" if n < 0 else "") + _format_int(high) + str(low).zfill(_CHUNK_DIGITS)
 
 
-def _format_rat(f: Fraction) -> str:
-    num = _format_int(f.numerator)
-    return num if f.denominator == 1 else f"{num}/{_format_int(f.denominator)}"
+def _format_rat(n: int, d: int) -> str:
+    """Canonical text of the rational n/d, d >= 1."""
+    g = gcd(n, d)
+    num = _format_int(n // g)
+    return num if d == g else f"{num}/{_format_int(d // g)}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form under the scalar grammar."""
-    if s.im == 0:
-        return _format_rat(s.re)
-    if s.re == 0:
-        return _format_rat(s.im) + "i"
-    sign = "+" if s.im > 0 else "-"
-    return _format_rat(s.re) + sign + _format_rat(abs(s.im)) + "i"
+    a, b, d = s._a, s._b, s._d
+    if not b:
+        return _format_rat(a, d)
+    if not a:
+        return _format_rat(b, d) + "i"
+    return _format_rat(a, d) + ("+" if b > 0 else "-") + _format_rat(abs(b), d) + "i"
 
 
 def rational_sqrt(q: Fraction):

@@ -252,6 +252,15 @@ def test_construct_direct_sum_past_the_dimension_limit_writes_nothing(tmp_path, 
     assert not output.exists()
 
 
+def test_oversized_operator_names_the_operator(tmp_path, capsys, a21_file):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps([["0"]] * 1500))
+    assert main(["rb", "verify", a21_file, "--op", str(op), "--weight", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dim 1500 exceeds the limit of 8 (at operator)\n"
+
+
 @pytest.fixture
 def unreadable_files(tmp_path):
     deep = tmp_path / "deep.json"

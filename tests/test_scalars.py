@@ -1,5 +1,8 @@
+import importlib.util
+import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,3 +182,121 @@ def test_hash_consistent_with_eq(re_, im_):
     s = Scalar(re_, im_)
     if im_ == 0:
         assert s == re_ and hash(s) == hash(re_)
+
+
+# -- differential check against a plain (Fraction, Fraction) reference ------
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+_REF_OPS = {
+    "+": (lambda s, t: s + t, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (lambda s, t: s - t, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (lambda s, t: s * t, _ref_mul),
+    "/": (lambda s, t: s / t, _ref_div),
+}
+
+
+def _ref_rat(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _ref_str(x):
+    re_, im_ = x
+    if not im_:
+        return _ref_rat(re_)
+    if not re_:
+        return _ref_rat(im_) + "i"
+    return _ref_rat(re_) + ("+" if im_ > 0 else "-") + _ref_rat(abs(im_)) + "i"
+
+
+def _stored(s):
+    """The stored triple (a, b, d) of s = (a + b i)/d; read here only to check
+    the normalization invariant of the representation itself."""
+    return tuple(getattr(s, name) for name in Scalar.__slots__)
+
+
+def _check_against_reference(s, x):
+    a, b, d = _stored(s)
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (s.re, s.im) == x and type(s.re) is Fraction and type(s.im) is Fraction
+    assert s == Scalar(*x) and not s != Scalar(*x)
+    assert str(s) == _ref_str(x)
+    assert bool(s) == (x != (0, 0)) and s.is_zero == (x == (0, 0))
+    if x[1] == 0:
+        assert s == x[0] and x[0] == s and hash(s) == hash(x[0])
+        if x[0].denominator == 1:
+            assert s == x[0].numerator and hash(s) == hash(x[0].numerator)
+    else:
+        assert s != x[0] and hash(s) == hash(Scalar(*x))
+
+
+def _differential_values():
+    rng = seeded("scalars-differential")
+    big = 10 ** 4400 + 7  # a numerator past the 4,300-digit int-to-str limit
+    pairs = [(Fraction(0), Fraction(0)), (Fraction(-7, 3), Fraction(0)), (Fraction(5), Fraction(0)),
+             (Fraction(0), Fraction(2, 9)), (Fraction(0), Fraction(-1)),
+             (Fraction(big, 3), Fraction(0)), (Fraction(-1, 2), Fraction(big, big + 2))]
+    for _ in range(24):
+        s = random_scalar(rng, complex_part=rng.random() < 0.7)
+        pairs.append((s.re, s.im))
+    return pairs
+
+
+def test_kernel_matches_a_fraction_pair_reference():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the reference formats with str(int)
+    try:
+        values = _differential_values()
+        plain = [Fraction(0), Fraction(3), Fraction(-2, 5)]
+        for x in values:
+            s = Scalar(*x)
+            _check_against_reference(s, x)
+            _check_against_reference(-s, (-x[0], -x[1]))
+            _check_against_reference(s.conjugate(), (x[0], -x[1]))
+            for y in values:
+                t = Scalar(*y)
+                assert (s == t) == (x == y)
+                for name, (op, ref) in _REF_OPS.items():
+                    if name == "/" and y == (0, 0):
+                        with pytest.raises(ZeroDivisionError):
+                            op(s, t)
+                        continue
+                    _check_against_reference(op(s, t), ref(x, y))
+            for q in plain:
+                for operand in (q, int(q)) if q.denominator == 1 else (q,):
+                    y = (q, Fraction(0))
+                    for name, (op, ref) in _REF_OPS.items():
+                        if name == "/" and not q:
+                            with pytest.raises(ZeroDivisionError):
+                                op(s, operand)
+                        else:
+                            _check_against_reference(op(s, operand), ref(x, y))
+                        if name == "/" and x == (0, 0):
+                            with pytest.raises(ZeroDivisionError):
+                                op(operand, s)
+                        else:  # __radd__, __rsub__, __rmul__, __rtruediv__
+                            _check_against_reference(op(operand, s), ref(y, x))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_scalar_keeps_every_method_the_benchmark_tracer_binds():
+    """perfbench/tracer.py rebinds each name of its SCALAR_METHODS from
+    Scalar.__dict__, so a name inherited or renamed away breaks --trace 1."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [name for name in tracer.SCALAR_METHODS if name not in Scalar.__dict__]
+    assert not missing, f"Scalar.__dict__ lacks {missing}"
+    assert isinstance(Scalar.__dict__["is_zero"], property)
+    assert all(callable(Scalar.__dict__[name])
+               for name in tracer.SCALAR_METHODS if name != "is_zero")
