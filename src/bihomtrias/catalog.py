@@ -12,7 +12,7 @@ transpose; the claim and its errata record report the latter as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import catalog_data
 from .centroids import (
@@ -162,9 +162,6 @@ class Fingerprint:
     twist_ranks: tuple        # (rank alpha, rank beta)
     squared_dim: int          # dim of A*A over all products
 
-    FIELDS = ("axiom_profile", "der_dim", "cent_linear_dim", "product_ranks",
-              "twist_ranks", "squared_dim")
-
     def to_dict(self):
         return {
             "axiom_profile": ["+" if ok else "-" for _, ok in self.axiom_profile],
@@ -201,10 +198,10 @@ def distinguish(a_id: str, b_id: str):
     """
     fa = fingerprint(catalog_get(a_id).algebra)
     fb = fingerprint(catalog_get(b_id).algebra)
-    for field_name in Fingerprint.FIELDS:
-        va, vb = getattr(fa, field_name), getattr(fb, field_name)
+    for f in fields(Fingerprint):
+        va, vb = getattr(fa, f.name), getattr(fb, f.name)
         if va != vb:
-            return (field_name, va, vb)
+            return (f.name, va, vb)
     return "inconclusive"
 
 

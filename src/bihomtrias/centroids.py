@@ -186,11 +186,18 @@ class CentroidSpace:
     algebra: str
     linear_basis: tuple      # LinearMaps spanning the stage-1 linear space
     obstruction: tuple       # nonzero QuadraticPoly, deduplicated
-    identically_zero: bool
-    reported_dim: int        # dim of the largest linear subspace found in the vanishing set
-    subspace_basis: tuple    # LinearMaps spanning that subspace
+    subspace_basis: tuple    # LinearMaps spanning the largest linear subspace found in
+                             # the vanishing set; its length is the reported dim
     solution_description: str
     method: str              # full | linear-part-reduction | exact-conic | coordinate-search
+
+    @property
+    def identically_zero(self):
+        return not self.obstruction
+
+    @property
+    def reported_dim(self):
+        return len(self.subspace_basis)
 
     @property
     def linear_dim(self):
@@ -301,20 +308,10 @@ def _binary_form_lines(forms):
     return sorted(common, key=lambda l: (format_scalar(l[0]), format_scalar(l[1])))
 
 
-@per_algebra
-def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
-    basis = centroid_linear_space(algebra)
-    m = len(basis)
-    polys = _obstruction_polys(algebra)
-    identically_zero = not polys
-
-    if identically_zero:
-        return CentroidSpace(
-            algebra.name, basis, polys, True, m, basis,
-            "obstruction vanishes identically: the centroid is the full linear space",
-            "full",
-        )
-
+def _vanishing_subspace(polys, m):
+    """Stage 3: parameter vectors spanning a linear subspace of the common
+    vanishing set of the obstruction polynomials in m parameters, with its
+    description and the method that found it."""
     # Kernel of all degree-1 parts: a subspace in the vanishing set must
     # kill them (closed under scaling splits the degrees).
     lin_rows = []
@@ -330,20 +327,9 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         k_basis = [unit_vec(m, a) for a in range(m)]
     d = len(k_basis)
 
-    def params_to_maps(param_vectors):
-        basis_flats = [b.flatten() for b in basis]
-        flats = [combination(pv, basis_flats) for pv in param_vectors]
-        space = row_space([f for f in flats if not vec_is_zero(f)])
-        return tuple(
-            LinearMap.from_flat(algebra.dim, space.row(r)) for r in range(space.rows)
-        )
-
     if d == 0:
-        return CentroidSpace(
-            algebra.name, basis, polys, False, 0, (),
-            "degree-1 obstruction parts only vanish at 0: only the zero map",
-            "linear-part-reduction",
-        )
+        return ((), "degree-1 obstruction parts only vanish at 0: only the zero map",
+                "linear-part-reduction")
 
     grams = []
     for p in polys:
@@ -354,39 +340,24 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
             grams.append(g)
 
     if not grams:
-        sub = params_to_maps(k_basis)
-        return CentroidSpace(
-            algebra.name, basis, polys, False, d, sub,
-            f"quadratic parts vanish on the kernel of the degree-1 parts ({d} parameters)",
-            "linear-part-reduction",
-        )
+        return (k_basis, f"quadratic parts vanish on the kernel of the degree-1 parts "
+                f"({d} parameters)", "linear-part-reduction")
 
     if d == 1:
-        return CentroidSpace(
-            algebra.name, basis, polys, False, 0, (),
-            "single residual parameter with a nonzero quadratic obstruction: only the zero map",
-            "exact-conic",
-        )
+        return ((), "single residual parameter with a nonzero quadratic obstruction: "
+                "only the zero map", "exact-conic")
 
     if d == 2:
         lines = _binary_form_lines(grams)
-        if lines:
-            u, v = lines[0]
-            param = tuple(
-                u * a + v * b for a, b in zip(k_basis[0], k_basis[1])
-            )
-            sub = params_to_maps([param])
-            desc = "common conic root line(s): " + "; ".join(
-                f"({format_scalar(a)}, {format_scalar(b)})" for a, b in lines
-            )
-            return CentroidSpace(
-                algebra.name, basis, polys, False, 1, sub, desc, "exact-conic"
-            )
-        return CentroidSpace(
-            algebra.name, basis, polys, False, 0, (),
-            "residual conics share no rational root line: only the zero map",
-            "exact-conic",
+        if not lines:
+            return ((), "residual conics share no rational root line: only the zero map",
+                    "exact-conic")
+        u, v = lines[0]
+        param = tuple(u * a + v * b for a, b in zip(k_basis[0], k_basis[1]))
+        desc = "common conic root line(s): " + "; ".join(
+            f"({format_scalar(a)}, {format_scalar(b)})" for a, b in lines
         )
+        return (param,), desc, "exact-conic"
 
     # d >= 3: maximal coordinate clique in the residual quadric system.
     ok_nodes = [
@@ -406,14 +377,26 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         if winners:
             break
     best = winners[0] if winners else ()
-    sub = params_to_maps([k_basis[a] for a in best])
     listed = "; ".join(str([a + 1 for a in w]) for w in winners) or "none"
-    return CentroidSpace(
-        algebra.name, basis, polys, False, len(best), sub,
-        f"maximal coordinate subspace(s) of {d} residual parameters "
-        f"(verified lower bound; direction sets {listed})",
-        "coordinate-search",
-    )
+    return ([k_basis[a] for a in best], f"maximal coordinate subspace(s) of {d} residual "
+            f"parameters (verified lower bound; direction sets {listed})", "coordinate-search")
+
+
+@per_algebra
+def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
+    basis = centroid_linear_space(algebra)
+    polys = _obstruction_polys(algebra)
+    if not polys:
+        # the stage-1 basis itself, not its row-reduced form
+        sub, method = basis, "full"
+        desc = "obstruction vanishes identically: the centroid is the full linear space"
+    else:
+        params, desc, method = _vanishing_subspace(polys, len(basis))
+        basis_flats = [b.flatten() for b in basis]
+        flats = [combination(pv, basis_flats) for pv in params]
+        space = row_space([f for f in flats if not vec_is_zero(f)])
+        sub = tuple(LinearMap.from_flat(algebra.dim, row) for row in space.row_list())
+    return CentroidSpace(algebra.name, basis, polys, sub, desc, method)
 
 
 # -- central derivations ---------------------------------------------------

@@ -32,7 +32,7 @@ and multiplicativity (a subclass property, checked but never required):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import wraps
 from itertools import product
 
@@ -52,31 +52,30 @@ MULT_IDS = ("M1", "M2", "M3", "M4", "M5", "M6")
 ALL_CHECK_IDS = AXIOM_IDS + MULT_IDS
 
 
+@dataclass(frozen=True, slots=True)
 class MulTensor:
     """Structure constants of one bilinear product: e_i * e_j = sum_k c[i][j][k] e_k."""
 
-    __slots__ = ("dim", "role", "c")
+    dim: int
+    role: str
+    c: tuple
 
-    def __init__(self, dim: int, role: str, c):
-        if role not in TENSOR_ROLES:
-            raise ValueError(f"unknown product role {role!r}")
+    def __post_init__(self):
+        if self.role not in TENSOR_ROLES:
+            raise ValueError(f"unknown product role {self.role!r}")
+        dim = self.dim
         c = tuple(
             tuple(
                 tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row)
                 for row in plane
             )
-            for plane in c
+            for plane in self.c
         )
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise DimensionMismatch(f"tensor is not {dim}x{dim}x{dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "role", role)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MulTensor is immutable")
 
     @staticmethod
     def zero(dim: int, role: str) -> "MulTensor":
@@ -124,28 +123,20 @@ class MulTensor:
                         out.append(((i, j, k), v))
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, MulTensor):
-            return NotImplemented
-        return self.dim == other.dim and self.role == other.role and self.c == other.c
 
-    def __hash__(self):
-        return hash((self.dim, self.role, self.c))
-
-
+@dataclass(frozen=True, slots=True)
 class LinearMap:
     """An n x n Scalar matrix; column i holds the image of e_i."""
 
-    __slots__ = ("dim", "matrix")
+    matrix: Matrix
 
-    def __init__(self, matrix: Matrix):
-        if matrix.rows != matrix.cols:
+    def __post_init__(self):
+        if self.matrix.rows != self.matrix.cols:
             raise DimensionMismatch("linear map matrix must be square")
-        object.__setattr__(self, "dim", matrix.rows)
-        object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
+    @property
+    def dim(self) -> int:
+        return self.matrix.rows
 
     @staticmethod
     def identity(dim: int) -> "LinearMap":
@@ -212,79 +203,46 @@ class LinearMap:
     def from_flat(dim: int, flat) -> "LinearMap":
         return LinearMap(Matrix(dim, dim, list(flat)))
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.matrix == other.matrix
 
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"LinearMap({self.matrix!r})"
-
-
+@dataclass(frozen=True, slots=True)
 class BiHomTrialgebra:
     """Three products plus two twisting maps on a common dimension.
 
     No axiom is enforced here; use :func:`check_axioms`.  ``_memo`` holds
     the analyses of :func:`per_algebra` functions; equality, hashing and
-    the repr ignore it.
+    the repr ignore it, and equality and hashing ignore the name.
     """
 
-    __slots__ = ("name", "dim", "left", "right", "middle", "alpha", "beta", "_memo")
+    name: str = field(compare=False)
+    dim: int
+    left: MulTensor
+    right: MulTensor
+    middle: MulTensor
+    alpha: LinearMap
+    beta: LinearMap
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __init__(self, name, dim, left, right, middle, alpha, beta):
-        for t, role in ((left, LEFT), (right, RIGHT), (middle, MIDDLE)):
+    def __post_init__(self):
+        dim = self.dim
+        for role in ROLES:
+            t = getattr(self, role)
             if t.dim != dim:
                 raise DimensionMismatch(f"{role} tensor has dim {t.dim}, expected {dim}")
             if t.role != role:
                 raise DimensionMismatch(f"tensor in slot {role} carries role {t.role}")
-        if alpha.dim != dim or beta.dim != dim:
+        if self.alpha.dim != dim or self.beta.dim != dim:
             raise DimensionMismatch("twisting map dimension mismatch")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiHomTrialgebra is immutable")
 
     def tensor(self, role: str) -> MulTensor:
-        if role == LEFT:
-            return self.left
-        if role == RIGHT:
-            return self.right
-        if role == MIDDLE:
-            return self.middle
-        raise ValueError(f"unknown product role {role!r}")
+        if role not in ROLES:
+            raise ValueError(f"unknown product role {role!r}")
+        return getattr(self, role)
 
     def tensors(self):
         return (self.left, self.right, self.middle)
 
     def renamed(self, name: str) -> "BiHomTrialgebra":
-        return BiHomTrialgebra(
-            name, self.dim, self.left, self.right, self.middle, self.alpha, self.beta
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, BiHomTrialgebra):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.left == other.left
-            and self.right == other.right
-            and self.middle == other.middle
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.left, self.right, self.middle, self.alpha, self.beta))
+        return replace(self, name=name)
 
     def __repr__(self):
         return f"BiHomTrialgebra({self.name!r}, dim={self.dim})"
@@ -398,8 +356,11 @@ def basis_witnesses(n: int, arity: int, *identities):
 @dataclass(frozen=True)
 class AxiomResult:
     axiom_id: str
-    holds: bool
     witnesses: tuple
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     def witness_keys(self):
         return {w.key() for w in self.witnesses}
@@ -440,8 +401,7 @@ _PRODUCT_AXIOMS = (
 
 
 def _axiom_result(n, arity, identity):
-    witnesses = tuple(basis_witnesses(n, arity, identity))
-    return AxiomResult(identity[0], not witnesses, witnesses)
+    return AxiomResult(identity[0], tuple(basis_witnesses(n, arity, identity)))
 
 
 def check_axioms(algebra: BiHomTrialgebra) -> AxiomReport:

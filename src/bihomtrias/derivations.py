@@ -119,7 +119,10 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
 class DerivationSpace:
     algebra: str
     basis: tuple  # LinearMaps, canonical kernel basis
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def flats(self):
         return [list(b.flatten()) for b in self.basis]
@@ -130,7 +133,7 @@ def derivation_space(algebra: BiHomTrialgebra) -> DerivationSpace:
     """Canonical basis of the space of twisted derivations."""
     kernel = nullspace(derivation_system(algebra))
     basis = tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
-    return DerivationSpace(algebra.name, basis, len(basis))
+    return DerivationSpace(algebra.name, basis)
 
 
 def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:

@@ -9,6 +9,8 @@ canonical and directly comparable in tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import ONE, ZERO, Scalar
 
@@ -50,25 +52,23 @@ def vec_is_zero(x: Vector) -> bool:
     return all(a.is_zero for a in x)
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable dense matrix of Scalars, row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries):
+    def __post_init__(self):
         entries = tuple(
-            e if isinstance(e, Scalar) else Scalar(e) for e in entries
+            e if isinstance(e, Scalar) else Scalar(e) for e in self.entries
         )
-        if len(entries) != rows * cols:
+        if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(entries)}"
+                f"expected {self.rows * self.cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     # -- construction -------------------------------------------------
 
@@ -105,18 +105,6 @@ class Matrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
     # -- algebra ------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __add__(self, other):
         self._same_shape(other)

@@ -13,8 +13,9 @@ Text grammar (used by every file format)::
     rat    := ["-"] int ["/" posint]
     sign   := "+" | "-"
 
-with ASCII digits only.  A Scalar holds exact values: float and complex
-arguments raise TypeError.
+with ASCII digits only.  A Scalar is built from exact values: its real and
+imaginary parts must be ``int`` or ``Fraction`` (``bool`` counts as an int),
+and any other type, float, complex, str or Decimal, raises TypeError.
 
 Examples: "1", "-3/2", "1/2+1/3i", "2i".  Parsing reduces to canonical
 form; formatting always emits the canonical spelling, so parse/format
@@ -49,13 +50,10 @@ class Scalar:
             _set_b(self, im)
             _set_d(self, 1)
             return
-        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
-            raise TypeError("Scalar takes exact values (int, Fraction), not float or complex")
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"Scalar takes int or Fraction values, not {type(x).__name__}")
         # ints and Fractions are already reduced and carry numerator/denominator
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
         rd, id_ = re.denominator, im.denominator
         d = lcm(rd, id_)  # both Fractions are reduced, so gcd(a, b, d) = 1
         _set_a(self, re.numerator * (d // rd))

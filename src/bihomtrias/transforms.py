@@ -28,25 +28,19 @@ from .matrices import Matrix, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
 from .scalars import ZERO, Scalar
 
 
+@dataclass(frozen=True, slots=True)
 class BiHomAlgebra:
     """A single-product (A, *, alpha, beta); associativity is checkable, not assumed."""
 
-    __slots__ = ("name", "dim", "mu", "alpha", "beta")
+    name: str
+    dim: int
+    mu: MulTensor
+    alpha: LinearMap
+    beta: LinearMap
 
-    def __init__(self, name, dim, mu: MulTensor, alpha: LinearMap, beta: LinearMap):
-        if mu.dim != dim or alpha.dim != dim or beta.dim != dim:
+    def __post_init__(self):
+        if self.mu.dim != self.dim or self.alpha.dim != self.dim or self.beta.dim != self.dim:
             raise DimensionMismatch("component dimension mismatch")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiHomAlgebra is immutable")
-
-    def __repr__(self):
-        return f"BiHomAlgebra({self.name!r}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -67,8 +61,11 @@ class BracketPair:
 
 @dataclass(frozen=True)
 class MorphismReport:
-    holds: bool
     witnesses: tuple  # Witness: commute-alpha/commute-beta, then one per product role
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 def _tensor_from_pairs(dim, role, pair_fn) -> MulTensor:
@@ -91,7 +88,7 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
         witnesses += basis_witnesses(a.dim, 2, (
             role, lambda i, j: psi.apply(ta.pair(i, j)), lambda i, j: tb.bilinear(img[i], img[j])
         ))
-    return MorphismReport(not witnesses, tuple(witnesses))
+    return MorphismReport(tuple(witnesses))
 
 
 def is_isomorphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bihomtrias.catalog import catalog_get
+from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.cli import main
 from bihomtrias.documents import serialize_algebra, serialize_operator
 from bihomtrias.core import LinearMap
@@ -54,6 +54,24 @@ def test_catalog_verify_all_structured_bytes_are_pinned(capsys):
     assert json.loads(out)["errata_count"] == 184
     assert hashlib.sha256(out).hexdigest() == (
         "29f2aab3459fe82d6feccf2ba864e6a09d92549cfd460c0abc7252f53f1d04f3"
+    )
+
+
+def test_per_entry_structured_bytes_are_pinned(tmp_path, capsys):
+    """verify, der and cent on the document of every catalog entry, run
+    through ``main`` in catalog order, byte for byte, as first recorded."""
+    digest, size = hashlib.sha256(), 0
+    for entry_id in catalog_list():
+        path = tmp_path / "entry.json"
+        path.write_text(serialize_algebra(catalog_get(entry_id).algebra))
+        for command in ("verify", "der", "cent"):
+            assert main(["--format", "structured", command, str(path)]) == 0
+            out = capsys.readouterr().out.encode()
+            digest.update(out)
+            size += len(out)
+    assert size == 96_435
+    assert digest.hexdigest() == (
+        "6700ed68cf334ae523020d19db3d3f88ba3313300ec572b9d35706d68c91d0b5"
     )
 
 

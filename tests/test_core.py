@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list
@@ -9,6 +12,7 @@ from bihomtrias.core import (
     MIDDLE,
     MULT_IDS,
     RIGHT,
+    STAR,
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
@@ -20,7 +24,8 @@ from bihomtrias.core import (
 )
 from bihomtrias.errors import DimensionMismatch
 from bihomtrias.matrices import Matrix, unit_vec, vec_add, vec_scale, zero_vec
-from bihomtrias.scalars import ONE
+from bihomtrias.scalars import ONE, Scalar
+from bihomtrias.transforms import BiHomAlgebra
 
 from oracles import random_scalar, random_sparse_scalar, seeded
 
@@ -180,3 +185,43 @@ def test_zero_completion_of_catalog_entries():
     assert len(A21.middle.nonzero_entries()) == 1
     assert A21.alpha.image_of_basis(0) == zero_vec(2)
     assert A21.alpha.image_of_basis(1) == e(2, 1)
+
+
+def _twin_algebras():
+    """Two BiHomTrialgebras with different names, built separately from
+    equal components: equality and the hash ignore the name."""
+    def build(name):
+        left, right, middle = (MulTensor(2, t.role, [[list(r) for r in p] for p in t.c])
+                               for t in A21.tensors())
+        alpha, beta = (LinearMap.from_rows(f.matrix.row_list()) for f in (A21.alpha, A21.beta))
+        return BiHomTrialgebra(name, 2, left, right, middle, alpha, beta)
+    return build("one"), build("other")
+
+
+VALUE_TWINS = {
+    "Matrix": lambda: (
+        Matrix(2, 2, [1, 0, Fraction(1, 2), 3]),
+        Matrix.from_rows([[Scalar(1), Scalar(0)], [Scalar(Fraction(1, 2)), Scalar(3)]]),
+    ),
+    "LinearMap": lambda: (LinearMap(Matrix.identity(2)), LinearMap.from_rows([[1, 0], [0, 1]])),
+    "MulTensor": lambda: (
+        MulTensor(2, LEFT, [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
+        MulTensor.from_entries(2, LEFT, {(0, 0, 0): 1, (1, 1, 1): Fraction(2, 3)}),
+    ),
+    "BiHomTrialgebra": _twin_algebras,
+    "BiHomAlgebra": lambda: tuple(
+        BiHomAlgebra("single", 2, MulTensor(2, STAR, A21.left.c), A21.alpha, A21.beta)
+        for _ in range(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_TWINS))
+def test_value_types_are_frozen_slotted_and_compared_by_value(kind):
+    a, b = VALUE_TWINS[kind]()
+    assert a is not b and a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+    assert not hasattr(a, "__dict__")
+    for field in dataclasses.fields(a):
+        with pytest.raises(AttributeError):
+            setattr(a, field.name, getattr(b, field.name))
+    assert a == b

@@ -101,7 +101,7 @@ def _immutable(value):
         return value.__dataclass_params__.frozen and all(
             _immutable(getattr(value, f.name)) for f in dataclasses.fields(value)
         )
-    return value is None or isinstance(value, (bool, int, str, Scalar, LinearMap))
+    return value is None or isinstance(value, (bool, int, str, Scalar))
 
 
 @pytest.mark.parametrize("entry_id", ["BTas_2^3", "BTas_3^1", "BTas_3^14", "BTas_3^24"])

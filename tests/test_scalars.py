@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,12 +164,24 @@ def test_immutability():
         s.re = Fraction(2)
 
 
-@pytest.mark.parametrize("inexact", [0.1, 1.0, 1j, complex(2, 0)])
+@pytest.mark.parametrize(
+    "inexact",
+    [
+        0.1, 1.0, 1j, complex(2, 0),
+        pytest.param("0.1", id="decimal-string"),
+        pytest.param("1e-3", id="exponent-string"),
+        pytest.param(Decimal("2.5"), id="decimal"),
+    ],
+)
 def test_inexact_values_rejected(inexact):
-    with pytest.raises(TypeError):
-        Scalar(inexact)
-    with pytest.raises(TypeError):
-        Scalar(0, inexact)
+    """Only int and Fraction parts are accepted; the error names the type."""
+    for args in ((inexact,), (0, inexact)):
+        with pytest.raises(TypeError, match=type(inexact).__name__):
+            Scalar(*args)
+
+
+def test_bool_counts_as_an_int():
+    assert Scalar(True) == Scalar(1) and Scalar(0, False) == Scalar(0)
 
 
 def test_hash_agrees_with_equality():
