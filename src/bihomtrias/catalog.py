@@ -389,7 +389,7 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
 def catalog_verify(entry_id: str | None = None) -> CatalogVerification:
     """Verify one entry or (entry_id=None) the whole catalog."""
     start = time.perf_counter()
-    ids = [entry_id] if entry_id else list(_ORDER)
+    ids = list(_ORDER) if entry_id is None else [entry_id]
     entries = tuple(verify_entry(catalog_get(i)) for i in ids)
     return CatalogVerification(entries, time.perf_counter() - start)
 

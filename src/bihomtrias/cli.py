@@ -162,8 +162,7 @@ def _cmd_catalog(args, fmt):
             print(f"note: {note}", file=sys.stderr)
         return 0
     # verify
-    target = None if args.all or args.id is None else args.id
-    verification = catalog_verify(target)
+    verification = catalog_verify(args.id)
     payload = verification.to_dict()
 
     def render(p):
@@ -302,9 +301,37 @@ def build_parser():
     return parser
 
 
+def _misuse(args):
+    """Why the arguments do not fit their subcommand, or None: each action
+    must get the arguments it needs and none that it would ignore."""
+    if args.command == "catalog":
+        if args.all and args.action != "verify":
+            return f"catalog {args.action} takes no --all"
+        if args.action == "list" and args.id is not None:
+            return "catalog list takes no id"
+        if args.action == "get" and args.id is None:
+            return "catalog get requires an id"
+        if args.all and args.id is not None:
+            return "catalog verify takes an id or --all, not both"
+    elif args.command == "construct":
+        if args.kind == "direct-sum" and args.b is None:
+            return "direct-sum requires two algebra files"
+        if args.kind != "direct-sum" and args.b is not None:
+            return f"{args.kind} takes one algebra file"
+        if args.kind == "transport" and args.map is None:
+            return "transport requires --map"
+        if args.kind != "transport" and args.map is not None:
+            return f"{args.kind} takes no --map"
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    misuse = _misuse(args)
+    if misuse:
+        print(f"error: {misuse}", file=sys.stderr)
+        return 2
     fmt = getattr(args, "format", "text")
     strict = getattr(args, "strict", False)
     try:
@@ -315,19 +342,10 @@ def main(argv=None):
         elif args.command == "cent":
             status = _cmd_cent(args, fmt)
         elif args.command == "catalog":
-            if args.action == "get" and args.id is None:
-                print("error: catalog get requires an id", file=sys.stderr)
-                return 2
             status = _cmd_catalog(args, fmt)
         elif args.command == "iso":
             status = _cmd_iso(args, fmt)
         elif args.command == "construct":
-            if args.kind == "direct-sum" and args.b is None:
-                print("error: direct-sum requires two algebra files", file=sys.stderr)
-                return 2
-            if args.kind == "transport" and args.map is None:
-                print("error: transport requires --map", file=sys.stderr)
-                return 2
             status = _cmd_construct(args, fmt)
         else:
             status = _cmd_rb(args, fmt)

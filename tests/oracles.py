@@ -4,7 +4,9 @@ The elimination oracle here deliberately shares no code with
 bihomtrias.matrices: plain forward elimination on lists, no pivot
 normalization, no back substitution.  It only reports a rank, which is
 what the dual-route checks compare.  The index-form derivation system
-likewise shares no assembly code with bihomtrias.derivations.
+likewise shares no assembly code with bihomtrias.derivations.  The
+per-coefficient coordinate audit is the former bihomtrias.coordinate
+code, kept as the reference that the sparse side tables must reproduce.
 """
 
 import random
@@ -117,3 +119,140 @@ def derivation_system_indexform(algebra) -> Matrix:
                             row[p * n + j] = row[p * n + j] - acc
                     rows.append(row)
     return Matrix.from_rows(rows)
+
+
+def _raw(algebra):
+    n = algebra.dim
+    gamma = algebra.left.c
+    delta = algebra.right.c
+    xi = algebra.middle.c
+    a = [[algebra.alpha.matrix[r, c] for c in range(n)] for r in range(n)]
+    b = [[algebra.beta.matrix[r, c] for c in range(n)] for r in range(n)]
+    return n, gamma, delta, xi, a, b
+
+
+def _structural(n, cin, cout, b, i, j, k, r):
+    """Coefficient of e_r in (e_i * e_j) *' beta(e_k)."""
+    acc = ZERO
+    for p in range(n):
+        cp = cin[i][j][p]
+        if cp.is_zero:
+            continue
+        for q in range(n):
+            bq = b[q][k]
+            if bq.is_zero:
+                continue
+            out = cout[p][q][r]
+            if not out.is_zero:
+                acc = acc + cp * bq * out
+    return acc
+
+
+def _twisted(n, cin, cout, a, i, j, k, r):
+    """Coefficient of e_r in alpha(e_i) *' (e_j * e_k)."""
+    acc = ZERO
+    for p in range(n):
+        ap = a[p][i]
+        if ap.is_zero:
+            continue
+        for q in range(n):
+            cq = cin[j][k][q]
+            if cq.is_zero:
+                continue
+            out = cout[p][q][r]
+            if not out.is_zero:
+                acc = acc + ap * cq * out
+    return acc
+
+
+def coordinate_detail_per_coefficient(algebra):
+    """Reference for ``bihomtrias.coordinate.coordinate_detail``: the same
+    per-identity booleans, with each coefficient r of each side summed
+    separately over dense (p, q) loops."""
+    n, gamma, delta, xi, a, b = _raw(algebra)
+
+    def s1(cin, cout):
+        return lambda i, j, k, r: _structural(n, cin, cout, b, i, j, k, r)
+
+    def s2(cin, cout):
+        return lambda i, j, k, r: _twisted(n, cin, cout, a, i, j, k, r)
+
+    families = {
+        "A1": (s1(gamma, gamma), s2(gamma, gamma)),
+        "A2a": (s1(gamma, gamma), s2(delta, gamma)),
+        "A2b": (s2(delta, gamma), s2(xi, gamma)),
+        "A3": (s1(delta, gamma), s2(gamma, delta)),
+        "A4a": (s1(gamma, delta), s2(delta, delta)),
+        "A4b": (s2(delta, delta), s1(xi, delta)),
+        "A5": (s1(delta, delta), s2(delta, delta)),
+        "A6": (s1(xi, gamma), s2(gamma, xi)),
+        "A7": (s1(gamma, xi), s2(delta, xi)),
+        "A8": (s1(delta, xi), s2(xi, delta)),
+        "A9": (s1(xi, xi), s2(xi, xi)),
+    }
+
+    detail = {}
+
+    ok = True
+    for i in range(n):
+        for k in range(n):
+            lhs = ZERO
+            rhs = ZERO
+            for j in range(n):
+                lhs = lhs + a[k][j] * b[j][i]
+                rhs = rhs + b[k][j] * a[j][i]
+            if lhs != rhs:
+                ok = False
+    detail["C0"] = ok
+
+    for tag, (lhs_f, rhs_f) in families.items():
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for r in range(n):
+                        if lhs_f(i, j, k, r) != rhs_f(i, j, k, r):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        detail[tag] = ok
+
+    def endo(c_map, tensor, tag):
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                for q in range(n):
+                    lhs = ZERO
+                    for k in range(n):
+                        ck = tensor[i][j][k]
+                        if not ck.is_zero:
+                            lhs = lhs + ck * c_map[q][k]
+                    rhs = ZERO
+                    for k in range(n):
+                        cki = c_map[k][i]
+                        if cki.is_zero:
+                            continue
+                        for p in range(n):
+                            cpj = c_map[p][j]
+                            if cpj.is_zero:
+                                continue
+                            out = tensor[k][p][q]
+                            if not out.is_zero:
+                                rhs = rhs + cki * cpj * out
+                    if lhs != rhs:
+                        ok = False
+        detail[tag] = ok
+
+    endo(a, gamma, "M1")
+    endo(b, gamma, "M2")
+    endo(a, delta, "M3")
+    endo(b, delta, "M4")
+    endo(a, xi, "M5")
+    endo(b, xi, "M6")
+
+    return detail

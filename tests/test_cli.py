@@ -198,6 +198,27 @@ def test_usage_errors_exit_2():
     assert run_cli("catalog", "explode").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalog", "verify", "BTas_2^1", "--all"),
+    ("catalog", "verify", ""),
+    ("catalog", "list", "BTas_2^1"),
+    ("catalog", "list", "--all"),
+    ("catalog", "get", "BTas_2^1", "--all"),
+    ("construct", "transport", "{a}", "{a}", "--map", "{psi}", "-o", "{out}"),
+    ("construct", "total-sum", "{a}", "{a}", "-o", "{out}"),
+    ("construct", "total-sum", "{a}", "--map", "{psi}", "-o", "{out}"),
+    ("construct", "direct-sum", "{a}", "{a}", "--map", "{psi}", "-o", "{out}"),
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
+def test_arguments_the_subcommand_would_ignore_exit_2(tmp_path, capsys, a21_file, argv):
+    psi = tmp_path / "psi.json"
+    psi.write_text(serialize_operator(LinearMap.identity(2)))
+    out = tmp_path / "out.json"
+    assert main([a.format(a=a21_file, psi=psi, out=out) for a in argv]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "coefficient",
     ["7" * 5000, "1/" + "3" * 5000, "\u0661/\u0662"],
