@@ -23,32 +23,22 @@ from .centroids import (
     is_centroid_element,
 )
 from .coordinate import coordinate_detail
-from .core import (
-    LEFT,
-    MIDDLE,
-    RIGHT,
-    ROLES,
-    BiHomTrialgebra,
-    LinearMap,
-    MulTensor,
-    full_report,
-    products_span,
-)
+from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor, full_report, products_span
 from .derivations import derivation_row, derivation_space
 from .documents import algebra_to_document
-from .errors import DimensionMismatch, UnknownId
+from .errors import UnknownId
 from .matrices import Matrix, rank
 from .reports import CentroidRow, ErrataRecord, map_to_strings, published_unit_claims
 from .scalars import ONE, ZERO, Scalar
 from .transforms import RotaBaxterData, is_isomorphism, rota_baxter_check
 
 
-def _tensor_from_spec(dim, role, spec):
+def _tensor_from_spec(dim, spec):
     entries = {}
     for (i, j), ks in (spec or {}).items():
         for k in ks:
             entries[(i - 1, j - 1, k - 1)] = ONE
-    return MulTensor.from_entries(dim, role, entries)
+    return MulTensor.from_entries(dim, entries)
 
 
 def _map_from_spec(dim, spec):
@@ -70,9 +60,7 @@ def _algebra_from_raw(name, raw, override=None):
     return BiHomTrialgebra(
         name,
         dim,
-        _tensor_from_spec(dim, LEFT, spec["left"]),
-        _tensor_from_spec(dim, RIGHT, spec["right"]),
-        _tensor_from_spec(dim, MIDDLE, spec["middle"]),
+        *(_tensor_from_spec(dim, spec[role]) for role in ROLES),
         _map_from_spec(dim, spec["alpha"]),
         _map_from_spec(dim, spec["beta"]),
     )
@@ -222,8 +210,6 @@ def distinguished_pair_counts(ids=None):
 def verify_isomorphism(a_id: str, b_id: str, psi: LinearMap) -> bool:
     a = catalog_get(a_id).algebra
     b = catalog_get(b_id).algebra
-    if psi.dim != a.dim or a.dim != b.dim:
-        raise DimensionMismatch("isomorphism candidate dimension mismatch")
     return is_isomorphism(psi, a, b)
 
 

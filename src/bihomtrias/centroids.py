@@ -98,14 +98,8 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> Cen
     m = len(h_vectors)
     if m == 0:
         return CentralizerSpace((), (), True)
-    sub_rows = []
-    for row in rows:
-        sub_rows.append(
-            [
-                sum((row[u] * h[u] for u in range(n)), ZERO)
-                for h in h_vectors
-            ]
-        )
+    h_matrix = Matrix.from_rows(h_vectors)
+    sub_rows = [h_matrix.apply(row) for row in rows]
     kernel = nullspace(Matrix.from_rows(sub_rows)) if sub_rows else [unit_vec(m, i) for i in range(m)]
     combos = (combination(coeffs, h_vectors) for coeffs in kernel)
     vecs = [x for x in combos if not vec_is_zero(x)]
@@ -411,13 +405,26 @@ class CentralDerivations:
 
 
 @per_algebra
-def _central_conditions(algebra: BiHomTrialgebra):
-    """The conditions defining central derivations: the rows of Z_A(A) in
-    the n unknowns of a vector, and the canonical basis of A*A."""
+def _central_conditions(algebra: BiHomTrialgebra) -> Matrix:
+    """The conditions defining central derivations as one reduced system in
+    the n^2 unknowns psi_qp (flattened (q, p) row-major): psi(e_p) in
+    Z_A(A) for every p, and psi(A*A) = 0.  It has no rows when every map
+    is central (the zero algebra)."""
     n = algebra.dim
-    center_rows = _centralizer_rows(algebra, [unit_vec(n, i) for i in range(n)])
-    squared = row_space(products_span(algebra))
-    return tuple(map(tuple, center_rows)), tuple(squared.row(r) for r in range(squared.rows))
+    rows = []
+    for crow in _centralizer_rows(algebra, [unit_vec(n, i) for i in range(n)]):
+        for p in range(n):
+            row = [ZERO] * (n * n)
+            for u in range(n):
+                if not crow[u].is_zero:
+                    row[u * n + p] = crow[u]
+            rows.append(row)
+    for v in row_space(products_span(algebra)).row_list():
+        for r in range(n):
+            row = [ZERO] * (n * n)
+            row[r * n:(r + 1) * n] = v
+            rows.append(row)
+    return row_space(rows)
 
 
 @per_algebra
@@ -425,25 +432,8 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     """Maps with image in the full centralizer and kernel containing A*A,
     cross-checked against Cent intersect Der."""
     n = algebra.dim
-    center_rows, squared_basis = _central_conditions(algebra)
-    # n^2 unknowns psi_qp (flattened (q, p) row-major): psi(e_p) in Z_A(A)
-    # and psi(A*A) = 0
-    rows = []
-    for crow in center_rows:
-        for p in range(n):
-            row = [ZERO] * (n * n)
-            for u in range(n):
-                if not crow[u].is_zero:
-                    row[u * n + p] = crow[u]
-            rows.append(row)
-    for v in squared_basis:
-        for r in range(n):
-            row = [ZERO] * (n * n)
-            for p in range(n):
-                if not v[p].is_zero:
-                    row[r * n + p] = v[p]
-            rows.append(row)
-    basis = tuple(LinearMap.from_flat(n, v) for v in nullspace(Matrix.from_rows(rows)))
+    kernel = nullspace(_central_conditions(algebra))
+    basis = tuple(LinearMap.from_flat(n, v) for v in kernel)
 
     der = derivation_space(algebra)
     cent = centroid_space(algebra)
@@ -469,18 +459,7 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
 
 def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
     """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0."""
-    center_rows, squared_basis = _central_conditions(algebra)
-    n = algebra.dim
-    for p in range(n):
-        col = psi.image_of_basis(p)
-        for row in center_rows:
-            acc = ZERO
-            for u in range(n):
-                if not row[u].is_zero and not col[u].is_zero:
-                    acc = acc + row[u] * col[u]
-            if not acc.is_zero:
-                return False
-    return all(vec_is_zero(psi.apply(v)) for v in squared_basis)
+    return vec_is_zero(_central_conditions(algebra).apply(psi.flatten()))
 
 
 # -- interaction property suite --------------------------------------------

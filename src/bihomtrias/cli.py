@@ -14,7 +14,7 @@ import sys
 
 from .catalog import catalog_get, catalog_list, catalog_verify
 from .centroids import centroid_space
-from .core import LEFT, MIDDLE, RIGHT, BiHomTrialgebra, MulTensor, full_report
+from .core import BiHomTrialgebra, MulTensor, full_report
 from .derivations import derivation_space
 from .documents import (
     algebra_to_document,
@@ -201,16 +201,12 @@ def _cmd_construct(args, fmt):
     elif args.kind == "total-sum":
         algebra = _load_algebra(args.a)
         candidate, witnesses = total_sum(algebra)
-        # Export the single product as an algebra document with the sum in
-        # every slot zeroed except left, which carries the product.
+        # Export the single product as an algebra document whose left slot
+        # carries the product and whose other two slots are zero.
+        zero = MulTensor.zero(algebra.dim)
         result = BiHomTrialgebra(
-            f"{algebra.name}~total",
-            algebra.dim,
-            MulTensor(algebra.dim, LEFT, candidate.mu.c),
-            MulTensor.zero(algebra.dim, RIGHT),
-            MulTensor.zero(algebra.dim, MIDDLE),
-            candidate.alpha,
-            candidate.beta,
+            f"{algebra.name}~total", algebra.dim, candidate.mu, zero, zero,
+            candidate.alpha, candidate.beta,
         )
         if witnesses:
             print(f"warning: candidate is not BiHom-associative "

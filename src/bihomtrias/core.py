@@ -44,8 +44,6 @@ LEFT = "left"
 RIGHT = "right"
 MIDDLE = "middle"
 ROLES = (LEFT, RIGHT, MIDDLE)
-STAR = "star"  # role tag for derived single products (sums, commutators)
-TENSOR_ROLES = ROLES + (STAR,)
 
 AXIOM_IDS = ("C0", "A1", "A2a", "A2b", "A3", "A4a", "A4b", "A5", "A6", "A7", "A8", "A9")
 MULT_IDS = ("M1", "M2", "M3", "M4", "M5", "M6")
@@ -54,15 +52,16 @@ ALL_CHECK_IDS = AXIOM_IDS + MULT_IDS
 
 @dataclass(frozen=True, slots=True)
 class MulTensor:
-    """Structure constants of one bilinear product: e_i * e_j = sum_k c[i][j][k] e_k."""
+    """Structure constants of one bilinear product: e_i * e_j = sum_k c[i][j][k] e_k.
+
+    The only reader of the constants outside the coordinate audit route;
+    which product a tensor is follows from the slot that holds it.
+    """
 
     dim: int
-    role: str
     c: tuple
 
     def __post_init__(self):
-        if self.role not in TENSOR_ROLES:
-            raise ValueError(f"unknown product role {self.role!r}")
         dim = self.dim
         c = tuple(
             tuple(
@@ -78,17 +77,16 @@ class MulTensor:
         object.__setattr__(self, "c", c)
 
     @staticmethod
-    def zero(dim: int, role: str) -> "MulTensor":
-        z = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        return MulTensor(dim, role, z)
+    def zero(dim: int) -> "MulTensor":
+        return MulTensor(dim, [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)])
 
     @staticmethod
-    def from_entries(dim: int, role: str, entries) -> "MulTensor":
+    def from_entries(dim: int, entries) -> "MulTensor":
         """Build from a {(i, j, k): scalar} mapping, 0-based indices."""
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), v in entries.items():
             c[i][j][k] = v if isinstance(v, Scalar) else Scalar(v)
-        return MulTensor(dim, role, c)
+        return MulTensor(dim, c)
 
     def pair(self, i: int, j: int) -> Vector:
         """The product e_i * e_j as a coefficient vector."""
@@ -228,8 +226,6 @@ class BiHomTrialgebra:
             t = getattr(self, role)
             if t.dim != dim:
                 raise DimensionMismatch(f"{role} tensor has dim {t.dim}, expected {dim}")
-            if t.role != role:
-                raise DimensionMismatch(f"tensor in slot {role} carries role {t.role}")
         if self.alpha.dim != dim or self.beta.dim != dim:
             raise DimensionMismatch("twisting map dimension mismatch")
 
@@ -273,15 +269,8 @@ def ab_images(algebra: BiHomTrialgebra):
 
 
 def zero_algebra(dim: int, name: str = "zero") -> BiHomTrialgebra:
-    return BiHomTrialgebra(
-        name,
-        dim,
-        MulTensor.zero(dim, LEFT),
-        MulTensor.zero(dim, RIGHT),
-        MulTensor.zero(dim, MIDDLE),
-        LinearMap.zero(dim),
-        LinearMap.zero(dim),
-    )
+    z = MulTensor.zero(dim)
+    return BiHomTrialgebra(name, dim, z, z, z, LinearMap.zero(dim), LinearMap.zero(dim))
 
 
 def evaluate(algebra: BiHomTrialgebra, role: str, x: Vector, y: Vector) -> Vector:

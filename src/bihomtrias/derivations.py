@@ -26,7 +26,7 @@ from .core import (
     twist_commutation_witnesses,
 )
 from .errors import DimensionMismatch
-from .matrices import Matrix, nullspace, vec_add
+from .matrices import Matrix, nullspace, unit_vec, vec_add
 from .reports import DerivationRow, ErrataRecord, map_to_strings, published_unit_claims
 from .scalars import ZERO
 
@@ -78,32 +78,25 @@ def twisted_leibniz_rows(algebra: BiHomTrialgebra, with_image: bool):
     n = algebra.dim
     rows = map_commutation_rows(algebra.alpha) + map_commutation_rows(algebra.beta)
     ab_img = ab_images(algebra)
-    for role in ROLES:
-        c = algebra.tensor(role).c
+    e = [unit_vec(n, i) for i in range(n)]
+    for t in algebra.tensors():
+        # u(e_i) * ab(e_j) has coordinate r sum_q u_qi (e_q * ab(e_j))_r, and
+        # ab(e_i) * u(e_j) has sum_s u_sj (ab(e_i) * e_s)_r
+        by_ab = [[t.bilinear(e[q], ab_img[j]) for j in range(n)] for q in range(n)]
+        ab_by = [[t.bilinear(ab_img[i], e[s]) for s in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                wj = ab_img[j]
-                wi = ab_img[i]
                 for r in range(n):
                     row = [ZERO] * (n * n)
                     if with_image:
-                        for k in range(n):
-                            v = c[i][j][k]
-                            if not v.is_zero:
-                                row[r * n + k] = row[r * n + k] + v
+                        row[r * n:(r + 1) * n] = t.pair(i, j)
                     for q in range(n):
-                        acc = ZERO
-                        for s in range(n):
-                            if not wj[s].is_zero and not c[q][s][r].is_zero:
-                                acc = acc + wj[s] * c[q][s][r]
+                        acc = by_ab[q][j][r]
                         if not acc.is_zero:
                             x = row[q * n + i]
                             row[q * n + i] = x - acc if with_image else x + acc
                     for s in range(n):
-                        acc = ZERO
-                        for q in range(n):
-                            if not wi[q].is_zero and not c[q][s][r].is_zero:
-                                acc = acc + wi[q] * c[q][s][r]
+                        acc = ab_by[i][s][r]
                         if not acc.is_zero:
                             row[s * n + j] = row[s * n + j] - acc
                     rows.append(row)

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import json
 
-from .core import LEFT, MIDDLE, RIGHT, BiHomTrialgebra, LinearMap, MulTensor
+from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor
 from .errors import DimensionError, ParseError
 from .matrices import Matrix
 from .reports import map_to_strings
 from .scalars import format_scalar, parse_scalar
-
-_PRODUCT_KEYS = (("left", LEFT), ("right", RIGHT), ("middle", MIDDLE))
 
 # Largest dim an algebra document may declare.  Products are dense n^3 tensors
 # and the axiom sweep costs about n^6 operations; the catalog stops at dim 3,
@@ -57,7 +55,7 @@ def _check_index(value, dim, location):
     return value - 1
 
 
-def _parse_tensor(records, dim, role, key):
+def _parse_tensor(records, dim, key):
     if not isinstance(records, list):
         raise ParseError(f"{key} must be an array of product records", key)
     entries = {}
@@ -73,7 +71,7 @@ def _parse_tensor(records, dim, role, key):
                 f"duplicate product triple (i={rec['i']}, j={rec['j']}, k={rec['k']})", loc
             )
         entries[(i, j, k)] = parse_scalar(rec["c"], loc + ".c")
-    return MulTensor.from_entries(dim, role, entries)
+    return MulTensor.from_entries(dim, entries)
 
 
 def _parse_map(rows, dim, key):
@@ -106,12 +104,10 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
     _check_dim(dim)
-    tensors = {}
-    for key, role in _PRODUCT_KEYS:
-        tensors[role] = _parse_tensor(doc.get(key, []), dim, role, key)
+    tensors = [_parse_tensor(doc.get(role, []), dim, role) for role in ROLES]
     alpha = _parse_map(doc["alpha"], dim, "alpha") if "alpha" in doc else LinearMap.zero(dim)
     beta = _parse_map(doc["beta"], dim, "beta") if "beta" in doc else LinearMap.zero(dim)
-    return BiHomTrialgebra(name, dim, tensors[LEFT], tensors[RIGHT], tensors[MIDDLE], alpha, beta)
+    return BiHomTrialgebra(name, dim, *tensors, alpha, beta)
 
 
 def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
@@ -119,11 +115,11 @@ def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
     MAX_DIM, since no reading command would accept the document."""
     _check_dim(algebra.dim)
     doc = {"name": algebra.name, "dim": algebra.dim}
-    for key, role in _PRODUCT_KEYS:
+    for role in ROLES:
         records = []
         for (i, j, k), v in algebra.tensor(role).nonzero_entries():
             records.append({"i": i + 1, "j": j + 1, "k": k + 1, "c": format_scalar(v)})
-        doc[key] = records
+        doc[role] = records
     doc["alpha"] = map_to_strings(algebra.alpha)
     doc["beta"] = map_to_strings(algebra.beta)
     return doc

@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    LEFT,
-    MIDDLE,
-    RIGHT,
     ROLES,
-    STAR,
     AxiomReport,
     BiHomTrialgebra,
     LinearMap,
@@ -68,13 +64,8 @@ class MorphismReport:
         return not self.witnesses
 
 
-def _tensor_from_pairs(dim, role, pair_fn) -> MulTensor:
-    c = [[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)]
-    return MulTensor(dim, role, c)
-
-
-def retag(t: MulTensor, role: str) -> MulTensor:
-    return MulTensor(t.dim, role, t.c)
+def _tensor_from_pairs(dim, pair_fn) -> MulTensor:
+    return MulTensor(dim, [[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)])
 
 
 def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
@@ -92,7 +83,9 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
 
 
 def is_isomorphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
-    return psi.is_invertible() and is_morphism(psi, a, b).holds
+    """An invertible morphism; endpoints of another dimension raise
+    DimensionMismatch whatever the map."""
+    return is_morphism(psi, a, b).holds and psi.is_invertible()
 
 
 def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
@@ -114,13 +107,12 @@ def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
 
         return pair
 
-    new_left = _tensor_from_pairs(n, LEFT, conjugated(algebra.left))
-    new_right = _tensor_from_pairs(n, RIGHT, conjugated(algebra.right))
-    new_middle = _tensor_from_pairs(n, MIDDLE, conjugated(algebra.middle))
-    new_alpha = psi.compose(algebra.alpha).compose(inv)
-    new_beta = psi.compose(algebra.beta).compose(inv)
     return BiHomTrialgebra(
-        f"{algebra.name}~transport", n, new_left, new_right, new_middle, new_alpha, new_beta
+        f"{algebra.name}~transport",
+        n,
+        *(_tensor_from_pairs(n, conjugated(t)) for t in algebra.tensors()),
+        psi.compose(algebra.alpha).compose(inv),
+        psi.compose(algebra.beta).compose(inv),
     )
 
 
@@ -156,9 +148,7 @@ def untwist(algebra: BiHomTrialgebra):
     candidate = BiHomTrialgebra(
         f"{algebra.name}~untwist",
         n,
-        _tensor_from_pairs(n, LEFT, untwisted(algebra.left)),
-        _tensor_from_pairs(n, RIGHT, untwisted(algebra.right)),
-        _tensor_from_pairs(n, MIDDLE, untwisted(algebra.middle)),
+        *(_tensor_from_pairs(n, untwisted(t)) for t in algebra.tensors()),
         LinearMap.identity(n),
         LinearMap.identity(n),
     )
@@ -170,9 +160,7 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
     na, nb = a.dim, b.dim
     n = na + nb
 
-    def block_tensor(role):
-        ta, tb = a.tensor(role), b.tensor(role)
-
+    def block_tensor(ta, tb):
         def pair(i, j):
             if i < na and j < na:
                 return tuple(ta.pair(i, j)) + zero_vec(nb)
@@ -180,7 +168,7 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
                 return zero_vec(na) + tuple(tb.pair(i - na, j - na))
             return zero_vec(n)
 
-        return _tensor_from_pairs(n, role, pair)
+        return _tensor_from_pairs(n, pair)
 
     def block_map(fa, fb):
         ent = []
@@ -197,9 +185,7 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
     return BiHomTrialgebra(
         f"{a.name}(+){b.name}",
         n,
-        block_tensor(LEFT),
-        block_tensor(RIGHT),
-        block_tensor(MIDDLE),
+        *map(block_tensor, a.tensors(), b.tensors()),
         block_map(a.alpha, b.alpha),
         block_map(a.beta, b.beta),
     )
@@ -296,9 +282,9 @@ def rb_induced(algebra: BiHomAlgebra, rb: RotaBaxterData) -> RBInducedResult:
     mu, r, lam = algebra.mu, rb.op, rb.weight
     r_img = [r.image_of_basis(i) for i in range(n)]
 
-    left = _tensor_from_pairs(n, LEFT, lambda i, j: mu.bilinear(unit_vec(n, i), r_img[j]))
-    right = _tensor_from_pairs(n, RIGHT, lambda i, j: mu.bilinear(r_img[i], unit_vec(n, j)))
-    middle = _tensor_from_pairs(n, MIDDLE, lambda i, j: vec_scale(lam, mu.pair(i, j)))
+    left = _tensor_from_pairs(n, lambda i, j: mu.bilinear(unit_vec(n, i), r_img[j]))
+    right = _tensor_from_pairs(n, lambda i, j: mu.bilinear(r_img[i], unit_vec(n, j)))
+    middle = _tensor_from_pairs(n, lambda i, j: vec_scale(lam, mu.pair(i, j)))
     candidate = BiHomTrialgebra(
         f"{algebra.name}~rb", n, left, right, middle, algebra.alpha, algebra.beta
     )
@@ -354,13 +340,13 @@ def sum_middle_right(algebra: BiHomTrialgebra):
     """
     n = algebra.dim
     star = _tensor_from_pairs(
-        n, MIDDLE, lambda i, j: vec_add(algebra.right.pair(i, j), algebra.middle.pair(i, j))
+        n, lambda i, j: vec_add(algebra.right.pair(i, j), algebra.middle.pair(i, j))
     )
     candidate = BiHomTrialgebra(
         f"{algebra.name}~sum-mr",
         n,
         algebra.left,
-        retag(algebra.middle, RIGHT),
+        algebra.middle,
         star,
         algebra.alpha,
         algebra.beta,
@@ -380,10 +366,10 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
     displayed Leibniz-type identity in both stated variants."""
     n = algebra.dim
     star = _tensor_from_pairs(
-        n, STAR, lambda i, j: vec_sub(algebra.left.pair(i, j), algebra.right.pair(j, i))
+        n, lambda i, j: vec_sub(algebra.left.pair(i, j), algebra.right.pair(j, i))
     )
     bracket = _tensor_from_pairs(
-        n, STAR, lambda i, j: vec_sub(algebra.middle.pair(i, j), algebra.middle.pair(j, i))
+        n, lambda i, j: vec_sub(algebra.middle.pair(i, j), algebra.middle.pair(j, i))
     )
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
@@ -430,7 +416,6 @@ def total_sum(algebra: BiHomTrialgebra):
     n = algebra.dim
     star = _tensor_from_pairs(
         n,
-        STAR,
         lambda i, j: vec_add(
             vec_add(algebra.left.pair(i, j), algebra.right.pair(i, j)),
             algebra.middle.pair(i, j),
@@ -491,9 +476,9 @@ def averaging_induced(algebra: BiHomAlgebra) -> tuple:
     candidate = BiHomTrialgebra(
         f"{algebra.name}~avg",
         n,
-        _tensor_from_pairs(n, LEFT, lambda i, j: mu.bilinear(a_img[i], unit_vec(n, j))),
-        _tensor_from_pairs(n, RIGHT, lambda i, j: mu.bilinear(unit_vec(n, i), b_img[j])),
-        _tensor_from_pairs(n, MIDDLE, lambda i, j: mu.bilinear(a_img[i], b_img[j])),
+        _tensor_from_pairs(n, lambda i, j: mu.bilinear(a_img[i], unit_vec(n, j))),
+        _tensor_from_pairs(n, lambda i, j: mu.bilinear(unit_vec(n, i), b_img[j])),
+        _tensor_from_pairs(n, lambda i, j: mu.bilinear(a_img[i], b_img[j])),
         algebra.alpha,
         algebra.beta,
     )

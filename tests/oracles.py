@@ -12,7 +12,7 @@ code, kept as the reference that the sparse side tables must reproduce.
 import random
 from fractions import Fraction
 
-from bihomtrias.core import ROLES
+from bihomtrias.core import ROLES, BiHomTrialgebra, LinearMap, MulTensor
 from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import ZERO, Scalar
 
@@ -64,6 +64,22 @@ def random_sparse_scalar(rng):
 
 def seeded(name: str) -> random.Random:
     return random.Random(f"bihomtrias:{name}")
+
+
+def random_dense_algebra(rng, dim):
+    """Three products and two twists whose entries are each nonzero with
+    probability 0.7: dense Q(i) fractions with small numerators."""
+    def scalar():
+        return random_scalar(rng, max_den=2, span=2) if rng.random() < 0.7 else ZERO
+
+    def tensor():
+        return MulTensor(dim, [[[scalar() for _ in range(dim)] for _ in range(dim)]
+                               for _ in range(dim)])
+
+    def twist():
+        return LinearMap(Matrix(dim, dim, [scalar() for _ in range(dim * dim)]))
+
+    return BiHomTrialgebra("dense", dim, *(tensor() for _ in ROLES), twist(), twist())
 
 
 def derivation_system_indexform(algebra) -> Matrix:

@@ -18,7 +18,7 @@ from bihomtrias.catalog import (
 )
 from bihomtrias.core import LinearMap
 from bihomtrias.documents import parse_algebra, serialize_algebra
-from bihomtrias.errors import UnknownId
+from bihomtrias.errors import DimensionMismatch, UnknownId
 from bihomtrias.matrices import Matrix, unit_vec, zero_vec
 from bihomtrias.scalars import Scalar
 from bihomtrias.transforms import transport
@@ -180,6 +180,9 @@ def test_verify_isomorphism_basics():
     assert verify_isomorphism("BTas_2^1", "BTas_2^1", LinearMap.identity(2))
     assert not verify_isomorphism("BTas_2^1", "BTas_2^1", LinearMap.zero(2))
     assert not verify_isomorphism("BTas_2^1", "BTas_2^2", LinearMap.identity(2))
+    for psi in (LinearMap.identity(2), LinearMap.zero(2)):
+        with pytest.raises(DimensionMismatch):
+            verify_isomorphism("BTas_2^1", "BTas_3^1", psi)
 
 
 def test_rb_example_report():

@@ -11,9 +11,6 @@ from bihomtrias.centroids import (
     is_centroid_element,
 )
 from bihomtrias.core import (
-    LEFT,
-    MIDDLE,
-    RIGHT,
     ROLES,
     BiHomTrialgebra,
     LinearMap,
@@ -108,9 +105,9 @@ def test_literal_right_chain_variant_differs():
     # the first chain member while the literal alpha psi(y) keeps it.
     a = BiHomTrialgebra(
         "variant", 2,
-        MulTensor.zero(2, LEFT),
-        MulTensor.from_entries(2, RIGHT, {(0, 0, 0): ONE}),
-        MulTensor.zero(2, MIDDLE),
+        MulTensor.zero(2),
+        MulTensor.from_entries(2, {(0, 0, 0): ONE}),
+        MulTensor.zero(2),
         LinearMap.identity(2),
         LinearMap.zero(2),
     )

@@ -156,6 +156,19 @@ def test_construct_and_iso_round_trip(tmp_path, a21_file):
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("rows", [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1"]]],
+                         ids=["singular", "identity"])
+def test_iso_between_dimensions_exits_2_whatever_the_map(tmp_path, capsys, a21_file, rows):
+    b = tmp_path / "b31.json"
+    b.write_text(serialize_algebra(catalog_get("BTas_3^1").algebra))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps(rows))
+    assert main(["--strict", "iso", a21_file, str(b), "--map", str(psi)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: morphism endpoints must share the map's dimension\n"
+
+
 def test_construct_direct_sum(tmp_path, a21_file):
     out = tmp_path / "sum.json"
     r = run_cli("construct", "direct-sum", a21_file, a21_file, "-o", str(out))

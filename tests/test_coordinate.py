@@ -10,12 +10,12 @@ import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list
 from bihomtrias.coordinate import coordinate_detail
-from bihomtrias.core import LEFT, MIDDLE, RIGHT, ROLES, BiHomTrialgebra, LinearMap, MulTensor
+from bihomtrias.core import BiHomTrialgebra, LinearMap, MulTensor
 from bihomtrias.matrices import Matrix
-from bihomtrias.scalars import ONE, ZERO
+from bihomtrias.scalars import ONE
 from bihomtrias.transforms import direct_sum, transport
 
-from oracles import coordinate_detail_per_coefficient, random_scalar, seeded
+from oracles import coordinate_detail_per_coefficient, random_dense_algebra, random_scalar, seeded
 
 
 def _catalog_algebras():
@@ -57,24 +57,10 @@ def test_identical_on_direct_sums(pair):
     _agrees(direct_sum(*(catalog_get(entry_id).algebra for entry_id in pair)))
 
 
-def _random_dense_algebra(rng, dim):
-    def scalar():
-        return random_scalar(rng, max_den=2, span=2) if rng.random() < 0.7 else ZERO
-
-    def tensor(role):
-        return MulTensor(dim, role, [[[scalar() for _ in range(dim)] for _ in range(dim)]
-                                     for _ in range(dim)])
-
-    def twist():
-        return LinearMap(Matrix(dim, dim, [scalar() for _ in range(dim * dim)]))
-
-    return BiHomTrialgebra("dense", dim, *(tensor(role) for role in ROLES), twist(), twist())
-
-
 def test_identical_on_200_random_dense_tensors():
     rng = seeded("coordinate-dense")
     for _ in range(200):
-        _agrees(_random_dense_algebra(rng, rng.choice((1, 2, 2, 3, 3, 4))))
+        _agrees(random_dense_algebra(rng, rng.choice((1, 2, 2, 3, 3, 4))))
 
 
 def test_a_side_whose_terms_cancel_drops_the_zero_sum():
@@ -84,11 +70,11 @@ def test_a_side_whose_terms_cancel_drops_the_zero_sum():
     # A2a is a sum that cancels at (0, 0, 0, r) and is zero everywhere,
     # while its twisted side (through the zero right product) has no
     # summand at all.  A2a holds only if the cancelled sum is dropped.
-    left = MulTensor.from_entries(2, LEFT, {
+    left = MulTensor.from_entries(2, {
         (0, 0, 0): ONE, (0, 0, 1): ONE, (1, 0, 0): -ONE, (1, 0, 1): -ONE,
     })
     algebra = BiHomTrialgebra(
-        "cancelling", 2, left, MulTensor.zero(2, RIGHT), MulTensor.zero(2, MIDDLE),
+        "cancelling", 2, left, MulTensor.zero(2), MulTensor.zero(2),
         LinearMap.identity(2), LinearMap.identity(2),
     )
     c = left.c

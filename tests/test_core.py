@@ -12,7 +12,6 @@ from bihomtrias.core import (
     MIDDLE,
     MULT_IDS,
     RIGHT,
-    STAR,
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
@@ -78,7 +77,7 @@ def test_axioms_hold_on_zero_algebra():
 
 def _perturbed_a21():
     # change the single middle product e2 _|_ e2 from e1 to e2
-    middle = MulTensor.from_entries(2, MIDDLE, {(1, 1, 1): ONE})
+    middle = MulTensor.from_entries(2, {(1, 1, 1): ONE})
     return BiHomTrialgebra(
         "perturbed", 2, A21.left, A21.right, middle, A21.alpha, A21.beta
     )
@@ -104,7 +103,7 @@ def test_identity_twists_always_multiplicative():
     for _ in range(10):
         tensors = {
             role: MulTensor.from_entries(
-                2, role,
+                2,
                 {(i, j, k): random_sparse_scalar(rng) for i in range(2) for j in range(2) for k in range(2)},
             )
             for role in (LEFT, RIGHT, MIDDLE)
@@ -143,7 +142,7 @@ def _random_algebra(rng, dim=2):
             entries[(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))] = (
                 random_sparse_scalar(rng)
             )
-        tensors[role] = MulTensor.from_entries(dim, role, entries)
+        tensors[role] = MulTensor.from_entries(dim, entries)
     def rmap():
         return LinearMap(
             Matrix(dim, dim, [random_sparse_scalar(rng) for _ in range(dim * dim)])
@@ -191,7 +190,7 @@ def _twin_algebras():
     """Two BiHomTrialgebras with different names, built separately from
     equal components: equality and the hash ignore the name."""
     def build(name):
-        left, right, middle = (MulTensor(2, t.role, [[list(r) for r in p] for p in t.c])
+        left, right, middle = (MulTensor(2, [[list(r) for r in p] for p in t.c])
                                for t in A21.tensors())
         alpha, beta = (LinearMap.from_rows(f.matrix.row_list()) for f in (A21.alpha, A21.beta))
         return BiHomTrialgebra(name, 2, left, right, middle, alpha, beta)
@@ -205,12 +204,12 @@ VALUE_TWINS = {
     ),
     "LinearMap": lambda: (LinearMap(Matrix.identity(2)), LinearMap.from_rows([[1, 0], [0, 1]])),
     "MulTensor": lambda: (
-        MulTensor(2, LEFT, [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
-        MulTensor.from_entries(2, LEFT, {(0, 0, 0): 1, (1, 1, 1): Fraction(2, 3)}),
+        MulTensor(2, [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
+        MulTensor.from_entries(2, {(0, 0, 0): 1, (1, 1, 1): Fraction(2, 3)}),
     ),
     "BiHomTrialgebra": _twin_algebras,
     "BiHomAlgebra": lambda: tuple(
-        BiHomAlgebra("single", 2, MulTensor(2, STAR, A21.left.c), A21.alpha, A21.beta)
+        BiHomAlgebra("single", 2, A21.left, A21.alpha, A21.beta)
         for _ in range(2)
     ),
 }

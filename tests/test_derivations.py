@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list
@@ -7,13 +10,14 @@ from bihomtrias.derivations import (
     derivation_space,
     derivation_system,
     is_derivation,
+    twisted_leibniz_rows,
 )
 from bihomtrias.errors import DimensionMismatch
 from bihomtrias.matrices import Matrix, in_span, nullspace, rref
-from bihomtrias.scalars import Scalar
+from bihomtrias.scalars import Scalar, format_scalar
 from bihomtrias.transforms import transport
 
-from oracles import derivation_system_indexform, seeded
+from oracles import derivation_system_indexform, random_dense_algebra, seeded
 
 
 def unit(n, q, p):
@@ -189,3 +193,29 @@ def test_table_report_over_catalog():
     # report rows serialize cleanly
     d = by_id["BTas_2^1"].to_dict()
     assert d["computed_dim"] == 1 and d["basis"] == [[["0", "1"], ["0", "0"]]]
+
+
+# sha256 of both Leibniz systems, row by row, over the algebras of
+# _system_algebras; recorded from the assembly that summed the structure
+# constants inline, before the rows were read from evaluator tables.
+LEIBNIZ_ROWS_SHA256 = "2641655a9bd74a1a95a71fcd36fedf070f57d14656680b0468c5bda9b5742a53"
+
+
+def _system_algebras():
+    """Every catalog entry and candidate, then two seeded dense Q(i)
+    algebras at each of dims 4, 5 and 6."""
+    for entry_id in catalog_list():
+        entry = catalog_get(entry_id)
+        yield entry.algebra
+        yield from (algebra for _, algebra in entry.candidates)
+    rng = seeded("leibniz-rows")
+    for dim in (4, 4, 5, 5, 6, 6):
+        yield random_dense_algebra(rng, dim)
+
+
+def test_leibniz_rows_are_pinned():
+    digest = hashlib.sha256()
+    for algebra in _system_algebras():
+        for rows in (derivation_system(algebra).row_list(), twisted_leibniz_rows(algebra, False)):
+            digest.update(json.dumps([[format_scalar(x) for x in row] for row in rows]).encode())
+    assert digest.hexdigest() == LEIBNIZ_ROWS_SHA256

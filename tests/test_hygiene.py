@@ -6,6 +6,7 @@ private functions that nothing references any more, and imports inside a
 function body (no package module needs one to break an import cycle).
 The independent audit routes, which the checks compare against, must not
 share the per-algebra memo or its helpers, nor name the evaluator path.
+Only ``MulTensor`` and the coordinate route read structure constants.
 The package ``__init__`` (whose imports are re-exports) and ``from
 __future__ import annotations`` are exempt from the unused-name check.
 """
@@ -160,3 +161,25 @@ def test_independent_routes_do_not_use_the_memo(route):
     }
     shared = names & (MEMO_NAMES | EVALUATOR_NAMES)
     assert not shared, f"{route} references {sorted(shared)}"
+
+
+def test_only_multensor_reads_structure_constants():
+    """Products are evaluated through MulTensor's methods; the coordinate
+    route reads the constants ``.c`` directly on purpose."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "coordinate.py":
+            continue
+        tree = _tree(path)
+        inside = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "MulTensor"
+            for node in ast.walk(cls)
+        }
+        readers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "c" and id(node) not in inside
+        ]
+    assert not readers, f"structure constants read outside MulTensor at {readers}"

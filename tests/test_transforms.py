@@ -3,11 +3,7 @@ import pytest
 from bihomtrias.catalog import catalog_get, catalog_list, rota_baxter_example
 from bihomtrias.centroids import centroid_space
 from bihomtrias.core import (
-    LEFT,
-    MIDDLE,
-    RIGHT,
     ROLES,
-    STAR,
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
@@ -38,7 +34,6 @@ from bihomtrias.transforms import (
     swap_maps,
     total_sum,
     transport,
-    retag,
     untwist,
 )
 
@@ -247,7 +242,7 @@ def _star_algebra(tensor_role_source, alpha, beta, name="star"):
 
 
 def test_rb_induced_zero_product():
-    b = _star_algebra(MulTensor.zero(2, STAR), LinearMap.zero(2), LinearMap.zero(2))
+    b = _star_algebra(MulTensor.zero(2), LinearMap.zero(2), LinearMap.zero(2))
     result = rb_induced(b, RotaBaxterData(LinearMap.identity(2), Scalar(1)))
     assert result.precondition_holds
     assert result.report.all_hold
@@ -261,7 +256,7 @@ def test_rb_induced_zero_product():
 
 def test_rb_induced_from_example_left_product():
     ex = rota_baxter_example()
-    base = BiHomAlgebra("ex-left", 2, MulTensor(2, STAR, ex.left.c), ex.alpha, ex.beta)
+    base = BiHomAlgebra("ex-left", 2, ex.left, ex.alpha, ex.beta)
     lam = Scalar(1)
     op = LinearMap(Matrix.identity(2).scale(-lam))
     ok, _ = rota_baxter_check_single(base, RotaBaxterData(op, lam))
@@ -277,7 +272,7 @@ def test_rb_induced_from_example_left_product():
 
 def test_rb_induced_weight_zero_kills_middle():
     ex = rota_baxter_example()
-    base = BiHomAlgebra("ex-left", 2, MulTensor(2, STAR, ex.left.c), ex.alpha, ex.beta)
+    base = BiHomAlgebra("ex-left", 2, ex.left, ex.alpha, ex.beta)
     result = rb_induced(base, RotaBaxterData(LinearMap.zero(2), Scalar(0)))
     assert all(
         vec_is_zero(result.algebra.middle.pair(i, j)) for i in range(2) for j in range(2)
@@ -307,7 +302,7 @@ def test_swap_hypotheses_fail_on_nilpotent_twists():
 def test_swap_involution_case():
     a = BiHomTrialgebra(
         "invol", 2,
-        MulTensor.zero(2, LEFT), MulTensor.zero(2, RIGHT), MulTensor.zero(2, MIDDLE),
+        MulTensor.zero(2), MulTensor.zero(2), MulTensor.zero(2),
         SWAP2, SWAP2,
     )
     result = swap_maps(a)
@@ -334,7 +329,7 @@ def test_sum_middle_right_positional_reading():
 
 def test_sum_middle_right_right_and_middle_zero():
     a = BiHomTrialgebra(
-        "left-only", 2, A21.left, MulTensor.zero(2, RIGHT), MulTensor.zero(2, MIDDLE),
+        "left-only", 2, A21.left, MulTensor.zero(2), MulTensor.zero(2),
         A21.alpha, A21.beta,
     )
     candidate, _ = sum_middle_right(a)
@@ -423,7 +418,7 @@ def test_averaging_detects_noncommuting_operator():
 
 def test_averaging_induced_identity_operators():
     # associative product: x.y from the total sum of a catalog entry
-    mu = MulTensor(2, STAR, A21.left.c)
+    mu = A21.left
     b = BiHomAlgebra("b", 2, mu, LinearMap.identity(2), LinearMap.identity(2))
     candidate, report = averaging_induced(b)
     assert candidate.left.c == mu.c and candidate.right.c == mu.c and candidate.middle.c == mu.c
@@ -431,7 +426,7 @@ def test_averaging_induced_identity_operators():
 
 
 def test_averaging_induced_zero_operators():
-    mu = MulTensor(2, STAR, A21.left.c)
+    mu = A21.left
     b = BiHomAlgebra("b", 2, mu, LinearMap.zero(2), LinearMap.zero(2))
     candidate, report = averaging_induced(b)
     assert all(
@@ -443,7 +438,7 @@ def test_averaging_induced_zero_operators():
 
 def test_averaging_induced_precondition_failure():
     # xi(e1)=e2 on the left product of the example is not averaging
-    mu = MulTensor(2, STAR, A21.left.c)
+    mu = A21.left
     b = BiHomAlgebra("b", 2, mu, LinearMap.unit(2, 1, 0), LinearMap.zero(2))
     with pytest.raises(PreconditionFailed) as err:
         averaging_induced(b)
@@ -458,7 +453,7 @@ def test_averaging_induced_idempotent_random_sweep():
         entries = {}
         for _ in range(rng.randint(1, 3)):
             entries[(rng.randrange(2), rng.randrange(2), rng.randrange(2))] = Scalar(1)
-        mu = MulTensor.from_entries(2, STAR, entries)
+        mu = MulTensor.from_entries(2, entries)
         f = LinearMap.from_rows(
             [[diag_pool[rng.randint(0, 1)], ZERO], [ZERO, diag_pool[rng.randint(0, 1)]]]
         )
@@ -498,7 +493,7 @@ _ENDOMORPHISM_CHECKERS = {
     "is_centroid_element": lambda a, u: is_centroid_element(a, u),
     "rota_baxter_check": lambda a, u: rota_baxter_check(a, RotaBaxterData(u, ZERO)),
     "rota_baxter_check_single": lambda a, u: rota_baxter_check_single(
-        BiHomAlgebra("single", a.dim, retag(a.left, STAR), a.alpha, a.beta),
+        BiHomAlgebra("single", a.dim, a.left, a.alpha, a.beta),
         RotaBaxterData(u, ZERO),
     ),
     "averaging_check": lambda a, u: averaging_check(a, u),

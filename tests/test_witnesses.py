@@ -12,7 +12,7 @@ import pytest
 
 from bihomtrias import catalog_get, check_axioms, check_multiplicativity
 from bihomtrias.centroids import is_centroid_element
-from bihomtrias.core import STAR, LinearMap, Witness, twist_commutation_witnesses
+from bihomtrias.core import LinearMap, Witness, twist_commutation_witnesses
 from bihomtrias.derivations import is_derivation
 from bihomtrias.scalars import ONE
 from bihomtrias.transforms import (
@@ -22,7 +22,6 @@ from bihomtrias.transforms import (
     bihom_associativity_witnesses,
     commutator_construct,
     is_morphism,
-    retag,
     rota_baxter_check,
     rota_baxter_check_single,
     transport,
@@ -32,7 +31,7 @@ from bihomtrias.transforms import (
 # both commutator identities and the BiHom-associativity of its left product.
 A = catalog_get("BTas_3^16").algebra
 U = LinearMap.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, -1]])  # commutes with neither twist
-SINGLE = BiHomAlgebra("left", A.dim, retag(A.left, STAR), A.alpha, A.beta)
+SINGLE = BiHomAlgebra("left", A.dim, A.left, A.alpha, A.beta)
 SWAP = LinearMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
