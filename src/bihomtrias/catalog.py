@@ -25,10 +25,9 @@ from .centroids import (
 from .coordinate import coordinate_detail
 from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor, full_report, products_span
 from .derivations import derivation_row, derivation_space
-from .documents import algebra_to_document
 from .errors import UnknownId
 from .matrices import Matrix, rank
-from .reports import CentroidRow, ErrataRecord, map_to_strings, published_unit_claims
+from .reports import CentroidRow, ErrataRecord, dim_verdict, map_to_strings, published_unit_claims
 from .scalars import ONE, ZERO, Scalar
 from .transforms import RotaBaxterData, is_isomorphism, rota_baxter_check
 
@@ -129,11 +128,6 @@ def catalog_get(entry_id: str) -> CatalogEntry:
         raise UnknownId(f"no catalog entry {entry_id!r}") from None
 
 
-def catalog_documents():
-    """Canonical algebra documents for every entry, in catalog order."""
-    return {name: algebra_to_document(_ENTRIES[name].algebra) for name in _ORDER}
-
-
 def rota_baxter_example() -> BiHomTrialgebra:
     """The two-dimensional example carrying the weighted operator R = -w id."""
     return _algebra_from_raw("RBexample_2", catalog_data.ROTA_BAXTER_EXAMPLE)
@@ -225,25 +219,14 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
         "centroid-basis", "published centroid matrix {} satisfies the definition",
         {"recomputed_dim": space.reported_dim, "recomputed_subspace": subspace},
     )
-    if entry.paper_cent_dim is None:
-        status = "paper-silent"
-    elif entry.paper_cent_dim == space.reported_dim:
-        status = "match"
-    else:
-        status = "mismatch"
-        errata.append(
-            ErrataRecord(
-                entry.id,
-                "centroid-dim",
-                f"published dim {entry.paper_cent_dim}",
-                {
-                    "recomputed_dim": space.reported_dim,
-                    "linear_stage_dim": space.linear_dim,
-                    "recomputed_subspace": subspace,
-                },
-                None,
-            )
-        )
+    status, dim_errata = dim_verdict(
+        entry.id, "centroid", entry.paper_cent_dim, space.reported_dim,
+        {
+            "recomputed_dim": space.reported_dim,
+            "linear_stage_dim": space.linear_dim,
+            "recomputed_subspace": subspace,
+        },
+    )
     return CentroidRow(
         entry.id,
         space.linear_dim,
@@ -258,7 +241,7 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
         space.solution_description,
         tuple(p.serialize() for p in space.obstruction),
         claims,
-        tuple(errata),
+        tuple(errata + dim_errata),
     )
 
 
@@ -380,13 +363,14 @@ def catalog_verify(entry_id: str | None = None) -> CatalogVerification:
     return CatalogVerification(entries, time.perf_counter() - start)
 
 
-def rota_baxter_example_report(weights=(0, 1, -2)):
-    """Verify the published operator R = -w id on the example algebra for
-    each spot weight; failures become errata with the failing pair."""
+def rota_baxter_example_report():
+    """Verify the published operator R = -w id on the example algebra at
+    the spot weights 0, 1 and -2; failures become errata with the failing
+    pair."""
     algebra = rota_baxter_example()
     results = []
     errata = []
-    for w in weights:
+    for w in (0, 1, -2):
         lam = Scalar(w)
         op = LinearMap(Matrix.identity(algebra.dim).scale(-lam))
         ok, witnesses = rota_baxter_check(algebra, RotaBaxterData(op, lam))

@@ -44,8 +44,8 @@ from .errors import DimensionMismatch
 from .matrices import (
     Matrix,
     combination,
-    in_span,
     nullspace,
+    rank,
     row_space,
     span_intersection,
     unit_vec,
@@ -101,9 +101,7 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> Cen
     h_matrix = Matrix.from_rows(h_vectors)
     sub_rows = [h_matrix.apply(row) for row in rows]
     kernel = nullspace(Matrix.from_rows(sub_rows)) if sub_rows else [unit_vec(m, i) for i in range(m)]
-    combos = (combination(coeffs, h_vectors) for coeffs in kernel)
-    vecs = [x for x in combos if not vec_is_zero(x)]
-    space = row_space(vecs)
+    space = row_space(combination(coeffs, h_vectors) for coeffs in kernel)
     return CentralizerSpace(
         tuple(h_vectors), tuple(space.row(r) for r in range(space.rows)), True
     )
@@ -151,10 +149,6 @@ class QuadraticPoly:
 
     quad: tuple  # sorted ((a, b), Scalar) pairs
     lin: tuple   # sorted (a, Scalar) pairs
-
-    @property
-    def is_zero(self):
-        return not self.quad and not self.lin
 
     def polar(self, u, v):
         """Symmetric bilinear form of the quadratic part: polar(v, v) is
@@ -266,13 +260,12 @@ def _poly_sort_key(key):
 def _binary_form_lines(forms):
     """Common projective root lines over Q(i) of binary quadratic forms.
 
-    Each form is a 2x2 symmetric Gram matrix; a line span{(u, v)} is a
-    common root iff every form vanishes on (u, v).
+    Each form is a nonzero 2x2 symmetric Gram matrix, and there is at least
+    one; a line span{(u, v)} is a common root iff every form vanishes on
+    (u, v).
     """
     def roots_of(g):
         q11, q12, q22 = g[0][0], g[0][1] + g[1][0], g[1][1]
-        if q11.is_zero and q12.is_zero and q22.is_zero:
-            return None  # identically zero: every line
         lines = []
         if q11.is_zero:
             lines.append((ONE, ZERO))
@@ -288,17 +281,11 @@ def _binary_form_lines(forms):
                     lines.append(((-q12 - root) / two_a, ONE))
         return lines
 
-    common = None
-    for g in forms:
-        lines = roots_of(g)
-        if lines is None:
-            continue
-        lines_set = set(lines)
-        common = lines_set if common is None else (common & lines_set)
+    common = set(roots_of(forms[0]))
+    for g in forms[1:]:
         if not common:
             return []
-    if common is None:
-        return None  # every form identically zero
+        common &= set(roots_of(g))
     return sorted(common, key=lambda l: (format_scalar(l[0]), format_scalar(l[1])))
 
 
@@ -387,8 +374,7 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
     else:
         params, desc, method = _vanishing_subspace(polys, len(basis))
         basis_flats = [b.flatten() for b in basis]
-        flats = [combination(pv, basis_flats) for pv in params]
-        space = row_space([f for f in flats if not vec_is_zero(f)])
+        space = row_space(combination(pv, basis_flats) for pv in params)
         sub = tuple(LinearMap.from_flat(algebra.dim, row) for row in space.row_list())
     return CentroidSpace(algebra.name, basis, polys, sub, desc, method)
 
@@ -442,18 +428,16 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     true_inter = span_intersection(
         der_flats, [list(b.flatten()) for b in cent.subspace_basis]
     )
-    central_flats = [list(b.flatten()) for b in basis]
-    contains = all(in_span(central_flats, list(v)) for v in true_inter)
-    inter_flats = [list(v) for v in true_inter]
-    equals = contains and all(
-        in_span(inter_flats, list(b.flatten())) for b in basis
-    )
+    # both bases are independent, so span(true_inter) lies in span(kernel)
+    # iff stacking them keeps the rank, and the spans are equal iff their
+    # dimensions also agree
+    contains = rank(Matrix.from_rows(kernel + true_inter)) == len(kernel)
     return CentralDerivations(
         basis,
         tuple(LinearMap.from_flat(n, v) for v in true_inter),
         tuple(LinearMap.from_flat(n, v) for v in stage1_inter),
         contains,
-        equals,
+        contains and len(true_inter) == len(kernel),
     )
 
 
@@ -473,6 +457,14 @@ class CentDerSuiteReport:
     @property
     def clean(self):
         return not self.failures
+
+
+# (record key, errata check, expected statement), in errata order
+_SUITE_CHECKS = (
+    ("phi_d_is_derivation", "cent-der:phi-compose-d", "phi . d is a derivation"),
+    ("equiv_i_holds", "cent-der:equivalence-i", "d.phi in Cent iff phi.d central"),
+    ("equiv_ii_holds", "cent-der:equivalence-ii", "d.phi in Der iff [d,phi] central"),
+)
 
 
 def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerSuiteReport:
@@ -523,28 +515,10 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
                 "equiv_ii_holds": d_phi_der == bracket_central,
             }
             records.append(rec)
-            if not phi_d_der:
-                failures.append(
-                    ErrataRecord(
-                        entry_id, "cent-der:phi-compose-d",
-                        "phi . d is a derivation",
-                        rec, {"phi": map_to_strings(phi), "d": map_to_strings(dmap)},
-                    )
-                )
-            if not rec["equiv_i_holds"]:
-                failures.append(
-                    ErrataRecord(
-                        entry_id, "cent-der:equivalence-i",
-                        "d.phi in Cent iff phi.d central",
-                        rec, {"phi": map_to_strings(phi), "d": map_to_strings(dmap)},
-                    )
-                )
-            if not rec["equiv_ii_holds"]:
-                failures.append(
-                    ErrataRecord(
-                        entry_id, "cent-der:equivalence-ii",
-                        "d.phi in Der iff [d,phi] central",
-                        rec, {"phi": map_to_strings(phi), "d": map_to_strings(dmap)},
-                    )
-                )
+            failures.extend(
+                ErrataRecord(entry_id, check, expected, rec,
+                             {"phi": map_to_strings(phi), "d": map_to_strings(dmap)})
+                for key, check, expected in _SUITE_CHECKS
+                if not rec[key]
+            )
     return CentDerSuiteReport(entry_id, tuple(records), tuple(failures))

@@ -37,8 +37,7 @@ from .transforms import (
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ParseError(message)
 
 
 def _read(path):
@@ -307,6 +306,8 @@ def _misuse(args):
             return "catalog list takes no id"
         if args.action == "get" and args.id is None:
             return "catalog get requires an id"
+        if args.action == "verify" and not args.all and args.id is None:
+            return "catalog verify requires an id or --all"
         if args.all and args.id is not None:
             return "catalog verify takes an id or --all, not both"
     elif args.command == "construct":
@@ -322,15 +323,12 @@ def _misuse(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    misuse = _misuse(args)
-    if misuse:
-        print(f"error: {misuse}", file=sys.stderr)
-        return 2
-    fmt = getattr(args, "format", "text")
-    strict = getattr(args, "strict", False)
     try:
+        args = build_parser().parse_args(argv)
+        misuse = _misuse(args)
+        if misuse:
+            raise ParseError(misuse)
+        fmt = getattr(args, "format", "text")
         if args.command == "verify":
             status = _cmd_verify(args, fmt)
         elif args.command == "der":
@@ -349,7 +347,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     if status is None:
-        return 1 if strict else 0
+        return 1 if getattr(args, "strict", False) else 0
     return status
 
 

@@ -308,9 +308,6 @@ class Witness:
     lhs: Vector
     rhs: Vector
 
-    def key(self):
-        return (self.i, self.j, self.k)
-
     def to_dict(self):
         """The ``{"i", "j", "k", "lhs", "rhs"}`` form of the axiom reports."""
         return {
@@ -351,9 +348,6 @@ class AxiomResult:
     def holds(self) -> bool:
         return not self.witnesses
 
-    def witness_keys(self):
-        return {w.key() for w in self.witnesses}
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -366,9 +360,6 @@ class AxiomReport:
     def profile(self):
         """(axiom_id, holds) pairs in report order; an isomorphism invariant."""
         return tuple((r.axiom_id, r.holds) for r in self.results)
-
-    def merged(self, other: "AxiomReport") -> "AxiomReport":
-        return AxiomReport(self.results + other.results)
 
 
 # Each product axiom equates two sides; a side is either
@@ -429,7 +420,7 @@ def check_multiplicativity(algebra: BiHomTrialgebra) -> AxiomReport:
 @per_algebra
 def full_report(algebra: BiHomTrialgebra) -> AxiomReport:
     """Axioms plus multiplicativity in one report (covers all check ids)."""
-    return check_axioms(algebra).merged(check_multiplicativity(algebra))
+    return AxiomReport(check_axioms(algebra).results + check_multiplicativity(algebra).results)
 
 
 def products_span(algebra: BiHomTrialgebra, roles=ROLES):

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .matrices import Matrix, nullspace, unit_vec, vec_add
-from .reports import DerivationRow, ErrataRecord, map_to_strings, published_unit_claims
+from .reports import DerivationRow, dim_verdict, map_to_strings, published_unit_claims
 from .scalars import ZERO
 
 
@@ -141,16 +141,8 @@ def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
         entry_id, algebra.dim, paper_units, lambda u: is_derivation(algebra, u), space.flats(),
         "derivation-basis", "published basis matrix {} is a derivation", recomputed,
     )
-    if paper_dim is None:
-        status = "paper-silent"
-    elif paper_dim == space.dim:
-        status = "match"
-    else:
-        status = "mismatch"
-        errata.append(
-            ErrataRecord(entry_id, "derivation-dim", f"published dim {paper_dim}", recomputed, None)
-        )
+    status, dim_errata = dim_verdict(entry_id, "derivation", paper_dim, space.dim, recomputed)
     return DerivationRow(
-        entry_id, space.dim, paper_dim, status, space.basis, claims, tuple(errata)
+        entry_id, space.dim, paper_dim, status, space.basis, claims, tuple(errata + dim_errata)
     )
 

@@ -254,7 +254,7 @@ def inverse(m: Matrix) -> Matrix:
         ],
     )
     red, rk, pivots = rref(aug)
-    if rk < n or any(p >= n for p in pivots[:n]) or len(pivots) < n or pivots[n - 1] != n - 1:
+    if rk < n or pivots[n - 1] != n - 1:
         raise SingularMatrix(f"matrix of rank {sum(1 for p in pivots if p < n)} < {n}")
     return Matrix(n, n, [red[r, n + c] for r in range(n) for c in range(n)])
 
@@ -296,6 +296,7 @@ def span_intersection(vs, ws):
     for r in range(n):
         row = [v[r] for v in vs] + [-w[r] for w in ws]
         entries.extend(row)
-    combos = (combination(k[: len(vs)], vs) for k in nullspace(Matrix(n, cols, entries)))
-    space = row_space([x for x in combos if not vec_is_zero(x)])
+    space = row_space(
+        combination(k[: len(vs)], vs) for k in nullspace(Matrix(n, cols, entries))
+    )
     return [space.row(r) for r in range(space.rows)]

@@ -122,6 +122,19 @@ class CentroidRow:
         }
 
 
+def dim_verdict(entry_id, kind, paper_dim, computed_dim, computed):
+    """Status of a published dimension against the recomputed one
+    (paper-silent, match or mismatch), with the ``kind-dim`` errata
+    records: one on a mismatch, carrying ``computed``, else none."""
+    if paper_dim is None:
+        return "paper-silent", []
+    if paper_dim == computed_dim:
+        return "match", []
+    return "mismatch", [
+        ErrataRecord(entry_id, f"{kind}-dim", f"published dim {paper_dim}", computed, None)
+    ]
+
+
 def published_unit_claims(entry_id, dim, units, check, span_flats, kind, expected, recomputed):
     """Re-verify each published matrix unit (q, p) and its transpose.
 

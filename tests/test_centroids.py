@@ -313,6 +313,32 @@ def test_forward_inclusion_fails_on_3_14():
     assert not is_central_derivation(a, e11)
 
 
+def test_inclusion_verdicts_match_membership_definition():
+    """contains_intersection and equals_intersection, decided by rank,
+    agree with vector-by-vector span membership on every entry and two
+    seeded transports of each."""
+    rng = seeded("central-inclusions")
+    seen = set()
+    for name in catalog_list():
+        a = catalog_get(name).algebra
+        algebras = [a]
+        while len(algebras) < 3:
+            psi = LinearMap(
+                Matrix(a.dim, a.dim, [Scalar(rng.randint(-2, 2)) for _ in range(a.dim * a.dim)])
+            )
+            if psi.is_invertible():
+                algebras.append(transport(a, psi))
+        for algebra in algebras:
+            cd = central_derivations(algebra)
+            central = [list(b.flatten()) for b in cd.basis]
+            inter = [list(b.flatten()) for b in cd.cent_inter_der]
+            contains = all(in_span(central, v) for v in inter)
+            equals = contains and all(in_span(inter, v) for v in central)
+            assert (cd.contains_intersection, cd.equals_intersection) == (contains, equals), name
+            seen.add((contains, equals))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 # -- interaction suite ----------------------------------------------------------
 
 def test_suite_composition_clause_holds_everywhere():

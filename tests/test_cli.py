@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bihomtrias.catalog import catalog_get, catalog_list
+from bihomtrias.catalog import catalog_get, catalog_list, rota_baxter_example
 from bihomtrias.cli import main
 from bihomtrias.documents import serialize_algebra, serialize_operator
 from bihomtrias.core import LinearMap
@@ -190,8 +190,6 @@ def test_construct_total_sum(tmp_path, a21_file):
 
 def test_rb_verify(tmp_path):
     algebra_file = tmp_path / "rb.json"
-    from bihomtrias.catalog import rota_baxter_example
-
     algebra_file.write_text(serialize_algebra(rota_baxter_example()))
     op0 = tmp_path / "r0.json"
     op0.write_text(serialize_operator(LinearMap.zero(2)))
@@ -203,6 +201,51 @@ def test_rb_verify(tmp_path):
     assert r.returncode == 0 and "FAILS" in r.stdout
     r = run_cli("--strict", "rb", "verify", str(algebra_file), "--op", str(op1), "--weight", "1")
     assert r.returncode == 1
+
+
+def test_rb_verify_text_output(tmp_path, capsys):
+    algebra_file = tmp_path / "rb.json"
+    algebra_file.write_text(serialize_algebra(rota_baxter_example()))
+
+    def run(weight):
+        # the published operator R = -w id
+        op = tmp_path / f"r{weight}.json"
+        op.write_text(serialize_operator(LinearMap(Matrix.identity(2).scale(Scalar(-weight)))))
+        code = main(["rb", "verify", str(algebra_file), "--op", str(op), "--weight", str(weight)])
+        assert code == 0
+        return capsys.readouterr().out.splitlines()
+
+    assert run(0) == ["Rota-Baxter check (weight 0): verifies"]
+    lines = run(-2)
+    assert lines[0] == "Rota-Baxter check (weight -2): FAILS"
+    assert lines[1:] and all(line.startswith("  failing: identity ") for line in lines[1:])
+    assert any(line.endswith(" at pair (2, 1)") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("frobnicate",),
+    ("--format", "xml", "catalog", "list"),
+    ("catalog", "frob"),
+    ("catalog", "list", "--format", "xml"),
+    ("iso", "{a}", "{a}"),
+    ("verify",),
+    ("rb", "verify", "{a}", "--op", "{a}"),
+    ("catalog", "verify"),
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_return_2_from_main(capsys, a21_file, argv):
+    assert main([a.format(a=a21_file) for a in argv]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("catalog", "--help")])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bihomtrias")
 
 
 def test_usage_errors_exit_2():
