@@ -147,20 +147,22 @@ def _cmd_cent(args, fmt):
     return 0
 
 
-def _cmd_catalog(args, fmt):
-    if args.action == "list":
-        ids = list(catalog_list())
-        _emit(ids, fmt, lambda p: print("\n".join(p)))
-        return 0
-    if args.action == "get":
-        entry = catalog_get(args.id)
-        # both modes emit the bare canonical document so the output can be
-        # fed back to the other commands; ambiguity notes go to stderr
-        print(json.dumps(algebra_to_document(entry.algebra), indent=2))
-        for note in entry.ambiguity_notes:
-            print(f"note: {note}", file=sys.stderr)
-        return 0
-    # verify
+def _cmd_catalog_list(args, fmt):
+    _emit(list(catalog_list()), fmt, lambda p: print("\n".join(p)))
+    return 0
+
+
+def _cmd_catalog_get(args, fmt):
+    entry = catalog_get(args.id)
+    # both modes emit the bare canonical document so the output can be
+    # fed back to the other commands; ambiguity notes go to stderr
+    print(json.dumps(algebra_to_document(entry.algebra), indent=2))
+    for note in entry.ambiguity_notes:
+        print(f"note: {note}", file=sys.stderr)
+    return 0
+
+
+def _cmd_catalog_verify(args, fmt):
     verification = catalog_verify(args.id)
     payload = verification.to_dict()
 
@@ -194,26 +196,7 @@ def _cmd_iso(args, fmt):
     return 0 if ok else None
 
 
-def _cmd_construct(args, fmt):
-    if args.kind == "direct-sum":
-        result = direct_sum(_load_algebra(args.a), _load_algebra(args.b))
-    elif args.kind == "total-sum":
-        algebra = _load_algebra(args.a)
-        candidate, witnesses = total_sum(algebra)
-        # Export the single product as an algebra document whose left slot
-        # carries the product and whose other two slots are zero.
-        zero = MulTensor.zero(algebra.dim)
-        result = BiHomTrialgebra(
-            f"{algebra.name}~total", algebra.dim, candidate.mu, zero, zero,
-            candidate.alpha, candidate.beta,
-        )
-        if witnesses:
-            print(f"warning: candidate is not BiHom-associative "
-                  f"({len(witnesses)} failing triples)", file=sys.stderr)
-    else:  # transport
-        algebra = _load_algebra(args.a)
-        psi = parse_operator(_read(args.map), expected_dim=algebra.dim)
-        result = transport(algebra, psi)
+def _write(args, fmt, result):
     text = serialize_algebra(result)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -223,6 +206,32 @@ def _cmd_construct(args, fmt):
     payload = {"written": args.output, "name": result.name, "dim": result.dim}
     _emit(payload, fmt, lambda p: print(f"wrote {p['written']} ({p['name']}, dim {p['dim']})"))
     return 0
+
+
+def _cmd_direct_sum(args, fmt):
+    return _write(args, fmt, direct_sum(_load_algebra(args.a), _load_algebra(args.b)))
+
+
+def _cmd_total_sum(args, fmt):
+    algebra = _load_algebra(args.a)
+    candidate, witnesses = total_sum(algebra)
+    # Export the single product as an algebra document whose left slot
+    # carries the product and whose other two slots are zero.
+    zero = MulTensor.zero(algebra.dim)
+    result = BiHomTrialgebra(
+        f"{algebra.name}~total", algebra.dim, candidate.mu, zero, zero,
+        candidate.alpha, candidate.beta,
+    )
+    if witnesses:
+        print(f"warning: candidate is not BiHom-associative "
+              f"({len(witnesses)} failing triples)", file=sys.stderr)
+    return _write(args, fmt, result)
+
+
+def _cmd_transport(args, fmt):
+    algebra = _load_algebra(args.a)
+    psi = parse_operator(_read(args.map), expected_dim=algebra.dim)
+    return _write(args, fmt, transport(algebra, psi))
 
 
 def _cmd_rb(args, fmt):
@@ -248,11 +257,14 @@ def _cmd_rb(args, fmt):
 
 
 def build_parser():
+    """The whole command grammar; every leaf parser binds its handler as ``run``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default=argparse.SUPPRESS
     )
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS)
+    output = argparse.ArgumentParser(add_help=False, parents=[common])
+    output.add_argument("-o", "--output", required=True)
 
     parser = _Parser(prog="bihomtrias", description=__doc__)
     parser.add_argument("--format", choices=("text", "structured"), default="text")
@@ -262,33 +274,43 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="axiom and multiplicativity report")
-    p.add_argument("file")
+    def leaf(subparsers, name, run, help, parent=common):
+        p = subparsers.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("der", parents=[common], help="derivation space of an algebra file")
-    p.add_argument("file")
+    leaf(sub, "verify", _cmd_verify, "axiom and multiplicativity report").add_argument("file")
+    leaf(sub, "der", _cmd_der, "derivation space of an algebra file").add_argument("file")
+    leaf(sub, "cent", _cmd_cent, "centroid of an algebra file").add_argument("file")
 
-    p = sub.add_parser("cent", parents=[common], help="centroid of an algebra file")
-    p.add_argument("file")
+    actions = sub.add_parser(
+        "catalog", parents=[common], help="embedded classification data"
+    ).add_subparsers(dest="action", required=True)
+    leaf(actions, "list", _cmd_catalog_list, "entry ids")
+    leaf(actions, "get", _cmd_catalog_get, "canonical algebra document").add_argument("id")
+    one_or_all = leaf(
+        actions, "verify", _cmd_catalog_verify, "audit against the published tables"
+    ).add_mutually_exclusive_group(required=True)
+    one_or_all.add_argument("id", nargs="?")
+    one_or_all.add_argument("--all", action="store_true")
 
-    p = sub.add_parser("catalog", parents=[common], help="embedded classification data")
-    p.add_argument("action", choices=("list", "get", "verify"))
-    p.add_argument("id", nargs="?")
-    p.add_argument("--all", action="store_true")
-
-    p = sub.add_parser("iso", parents=[common], help="verify a map is an isomorphism")
+    p = leaf(sub, "iso", _cmd_iso, "verify a map is an isomorphism")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--map", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="derived algebra constructions")
-    p.add_argument("kind", choices=("direct-sum", "total-sum", "transport"))
+    kinds = sub.add_parser(
+        "construct", parents=[common], help="derived algebra constructions"
+    ).add_subparsers(dest="kind", required=True)
+    p = leaf(kinds, "direct-sum", _cmd_direct_sum, "direct sum A + B", output)
     p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.add_argument("--map")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("b")
+    leaf(kinds, "total-sum", _cmd_total_sum, "the three products summed", output).add_argument("a")
+    p = leaf(kinds, "transport", _cmd_transport, "transport along --map", output)
+    p.add_argument("a")
+    p.add_argument("--map", required=True)
 
-    p = sub.add_parser("rb", parents=[common], help="Rota-Baxter operator verification")
+    p = leaf(sub, "rb", _cmd_rb, "Rota-Baxter operator verification")
     p.add_argument("action", choices=("verify",))
     p.add_argument("a")
     p.add_argument("--op", required=True)
@@ -296,58 +318,15 @@ def build_parser():
     return parser
 
 
-def _misuse(args):
-    """Why the arguments do not fit their subcommand, or None: each action
-    must get the arguments it needs and none that it would ignore."""
-    if args.command == "catalog":
-        if args.all and args.action != "verify":
-            return f"catalog {args.action} takes no --all"
-        if args.action == "list" and args.id is not None:
-            return "catalog list takes no id"
-        if args.action == "get" and args.id is None:
-            return "catalog get requires an id"
-        if args.action == "verify" and not args.all and args.id is None:
-            return "catalog verify requires an id or --all"
-        if args.all and args.id is not None:
-            return "catalog verify takes an id or --all, not both"
-    elif args.command == "construct":
-        if args.kind == "direct-sum" and args.b is None:
-            return "direct-sum requires two algebra files"
-        if args.kind != "direct-sum" and args.b is not None:
-            return f"{args.kind} takes one algebra file"
-        if args.kind == "transport" and args.map is None:
-            return "transport requires --map"
-        if args.kind != "transport" and args.map is not None:
-            return f"{args.kind} takes no --map"
-    return None
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        misuse = _misuse(args)
-        if misuse:
-            raise ParseError(misuse)
-        fmt = getattr(args, "format", "text")
-        if args.command == "verify":
-            status = _cmd_verify(args, fmt)
-        elif args.command == "der":
-            status = _cmd_der(args, fmt)
-        elif args.command == "cent":
-            status = _cmd_cent(args, fmt)
-        elif args.command == "catalog":
-            status = _cmd_catalog(args, fmt)
-        elif args.command == "iso":
-            status = _cmd_iso(args, fmt)
-        elif args.command == "construct":
-            status = _cmd_construct(args, fmt)
-        else:
-            status = _cmd_rb(args, fmt)
+        status = args.run(args, args.format)
     except BihomtriasError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if status is None:
-        return 1 if getattr(args, "strict", False) else 0
+        return 1 if args.strict else 0
     return status
 
 

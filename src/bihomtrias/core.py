@@ -435,28 +435,3 @@ def products_span(algebra: BiHomTrialgebra, roles=ROLES):
                     vecs.append(v)
     return vecs
 
-
-__all__ = [
-    "LEFT",
-    "RIGHT",
-    "MIDDLE",
-    "ROLES",
-    "AXIOM_IDS",
-    "MULT_IDS",
-    "ALL_CHECK_IDS",
-    "MulTensor",
-    "LinearMap",
-    "BiHomTrialgebra",
-    "per_algebra",
-    "zero_algebra",
-    "evaluate",
-    "twist_commutation_witnesses",
-    "Witness",
-    "basis_witnesses",
-    "AxiomResult",
-    "AxiomReport",
-    "check_axioms",
-    "check_multiplicativity",
-    "full_report",
-    "products_span",
-]

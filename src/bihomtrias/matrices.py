@@ -253,8 +253,9 @@ def inverse(m: Matrix) -> Matrix:
             for c in range(2 * n)
         ],
     )
-    red, rk, pivots = rref(aug)
-    if rk < n or pivots[n - 1] != n - 1:
+    red, _, pivots = rref(aug)
+    # [M | I] has rank n: M is invertible iff its own columns hold all n pivots
+    if pivots != tuple(range(n)):
         raise SingularMatrix(f"matrix of rank {sum(1 for p in pivots if p < n)} < {n}")
     return Matrix(n, n, [red[r, n + c] for r in range(n) for c in range(n)])
 

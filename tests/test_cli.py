@@ -1,13 +1,15 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list, rota_baxter_example
-from bihomtrias.cli import main
+from bihomtrias.cli import build_parser, main
 from bihomtrias.documents import serialize_algebra, serialize_operator
 from bihomtrias.core import LinearMap
 from bihomtrias.matrices import Matrix
@@ -240,7 +242,12 @@ def test_usage_errors_return_2_from_main(capsys, a21_file, argv):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("catalog", "--help")])
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("catalog", "--help"),
+    ("catalog", "verify", "--help"),
+    ("construct", "transport", "--help"),
+])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -264,6 +271,7 @@ def test_usage_errors_exit_2():
     ("construct", "total-sum", "{a}", "{a}", "-o", "{out}"),
     ("construct", "total-sum", "{a}", "--map", "{psi}", "-o", "{out}"),
     ("construct", "direct-sum", "{a}", "{a}", "--map", "{psi}", "-o", "{out}"),
+    ("construct", "-o", "{out}", "direct-sum", "{a}", "{a}"),
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
 def test_arguments_the_subcommand_would_ignore_exit_2(tmp_path, capsys, a21_file, argv):
     psi = tmp_path / "psi.json"
@@ -273,6 +281,19 @@ def test_arguments_the_subcommand_would_ignore_exit_2(tmp_path, capsys, a21_file
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and not out.exists()
     assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+def _readme_command_lines():
+    """The command lines of the README's CLI block, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv for argv in lines if argv[:1] == ["bihomtrias"] and "COMMAND" not in argv]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_parse(argv):
+    assert callable(build_parser().parse_args(argv[1:]).run)
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,10 @@ def test_inverse_examples():
     assert u @ u_inv == Matrix.identity(2)
 
 
+
+def test_inverse_of_the_empty_matrix():
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
+
 def test_inverse_randomized_and_singular():
     rng = seeded("inverse")
     done = 0
