@@ -20,7 +20,6 @@ from .catalog import (
 )
 from .centroids import (
     CentroidSpace,
-    CentralizerSpace,
     cent_der_property_suite,
     central_derivations,
     centralizer,
@@ -59,7 +58,6 @@ from .matrices import Matrix, inverse, nullspace, rank, rref
 from .scalars import Scalar, format_scalar, parse_scalar
 from .transforms import (
     BiHomAlgebra,
-    RotaBaxterData,
     averaging_check,
     averaging_induced,
     commutator_construct,

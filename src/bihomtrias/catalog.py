@@ -6,13 +6,15 @@ every recomputation disagreement as data: an errata record naming the
 violated check, the published value, the recomputed value and a witness.
 Each published basis matrix is re-verified together with its index
 transpose; the claim and its errata record report the latter as
-``transpose_passes``, and nothing is ever repaired or applied.
+``transpose_passes``, and nothing is ever repaired or applied.  The
+entries are built on first use, not at import.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from functools import cache
 
 from . import catalog_data
 from .centroids import (
@@ -29,7 +31,7 @@ from .errors import UnknownId
 from .matrices import Matrix, rank
 from .reports import CentroidRow, ErrataRecord, dim_verdict, map_to_strings, published_unit_claims
 from .scalars import ONE, ZERO, Scalar
-from .transforms import RotaBaxterData, is_isomorphism, rota_baxter_check
+from .transforms import is_isomorphism, rota_baxter_check
 
 
 def _tensor_from_spec(dim, spec):
@@ -77,10 +79,11 @@ class CatalogEntry:
     candidates: tuple  # (label, BiHomTrialgebra) for ambiguous entries
 
 
-def _build_catalog():
+@cache
+def _catalog():
+    """Every entry by id, in table order."""
     entries = {}
-    order = [f"BTas_2^{m}" for m in range(1, 8)] + [f"BTas_3^{m}" for m in range(1, 25)]
-    for name in order:
+    for name in [f"BTas_2^{m}" for m in range(1, 8)] + [f"BTas_3^{m}" for m in range(1, 25)]:
         raw = catalog_data.RAW_ENTRIES[name]
         amb = catalog_data.AMBIGUOUS.get(name)
         candidates = ()
@@ -111,19 +114,16 @@ def _build_catalog():
             notes,
             candidates,
         )
-    return order, entries
-
-
-_ORDER, _ENTRIES = _build_catalog()
+    return entries
 
 
 def catalog_list():
-    return tuple(_ORDER)
+    return tuple(_catalog())
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
     try:
-        return _ENTRIES[entry_id]
+        return _catalog()[entry_id]
     except KeyError:
         raise UnknownId(f"no catalog entry {entry_id!r}") from None
 
@@ -189,7 +189,7 @@ def distinguish(a_id: str, b_id: str):
 
 def distinguished_pair_counts(ids=None):
     """Exhaustive pairwise sweep; returns (distinguished, inconclusive) counts."""
-    ids = list(ids) if ids is not None else [i for i in _ORDER if i.startswith("BTas_3")]
+    ids = list(ids) if ids is not None else [i for i in catalog_list() if i.startswith("BTas_3")]
     prints = {i: fingerprint(catalog_get(i).algebra) for i in ids}
     distinguished = inconclusive = 0
     for x in range(len(ids)):
@@ -227,22 +227,7 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
             "recomputed_subspace": subspace,
         },
     )
-    return CentroidRow(
-        entry.id,
-        space.linear_dim,
-        space.reported_dim,
-        entry.paper_cent_dim,
-        status,
-        space.linear_basis,
-        space.subspace_basis,
-        space.identically_zero,
-        space.obstruction_too_large,
-        space.method,
-        space.solution_description,
-        tuple(p.serialize() for p in space.obstruction),
-        claims,
-        tuple(errata + dim_errata),
-    )
+    return CentroidRow(space, entry.paper_cent_dim, status, claims, tuple(errata + dim_errata))
 
 
 @dataclass(frozen=True)
@@ -358,7 +343,7 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
 def catalog_verify(entry_id: str | None = None) -> CatalogVerification:
     """Verify one entry or (entry_id=None) the whole catalog."""
     start = time.perf_counter()
-    ids = list(_ORDER) if entry_id is None else [entry_id]
+    ids = catalog_list() if entry_id is None else [entry_id]
     entries = tuple(verify_entry(catalog_get(i)) for i in ids)
     return CatalogVerification(entries, time.perf_counter() - start)
 
@@ -373,7 +358,7 @@ def rota_baxter_example_report():
     for w in (0, 1, -2):
         lam = Scalar(w)
         op = LinearMap(Matrix.identity(algebra.dim).scale(-lam))
-        ok, witnesses = rota_baxter_check(algebra, RotaBaxterData(op, lam))
+        ok, witnesses = rota_baxter_check(algebra, op, lam)
         results.append({"weight": w, "holds": ok, "failing_pairs": len(witnesses)})
         if not ok:
             first = witnesses[0]
@@ -395,7 +380,7 @@ def interaction_report():
     composition equivalences; every deviation is an errata record."""
     rows = []
     errata = []
-    for name in _ORDER:
+    for name in catalog_list():
         algebra = catalog_get(name).algebra
         suite = cent_der_property_suite(algebra, name)
         cd = central_derivations(algebra)

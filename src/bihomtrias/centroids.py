@@ -57,13 +57,6 @@ from .scalars import ONE, ZERO, Scalar, format_scalar, scalar_sqrt
 
 # -- centralizers --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralizerSpace:
-    generators: tuple  # the vectors spanning H
-    basis: tuple       # canonical basis of the computed centralizer
-    restricted: bool
-
-
 def _centralizer_rows(algebra: BiHomTrialgebra, h_vectors):
     """Rows in the n unknowns of x for ab(x)*h = 0 and h*ab(x) = 0."""
     n = algebra.dim
@@ -80,9 +73,10 @@ def _centralizer_rows(algebra: BiHomTrialgebra, h_vectors):
     return rows
 
 
-def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> CentralizerSpace:
-    """Solve ab(x)*h = h*ab(x) = 0 for x in the whole space, or in span(H)
-    under the literal membership reading."""
+def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> tuple:
+    """Canonical basis of the x with ab(x)*h = h*ab(x) = 0 for every h in H,
+    x ranging over the whole space, or over span(H) under the literal
+    membership reading."""
     n = algebra.dim
     h_vectors = [tuple(v) for v in h_vectors]
     for v in h_vectors:
@@ -91,20 +85,16 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> Cen
     rows = _centralizer_rows(algebra, h_vectors)
     if not restrict_to_h:
         if not rows:
-            basis = [unit_vec(n, i) for i in range(n)]
-        else:
-            basis = nullspace(Matrix.from_rows(rows))
-        return CentralizerSpace(tuple(h_vectors), tuple(basis), False)
+            return tuple(unit_vec(n, i) for i in range(n))
+        return tuple(nullspace(Matrix.from_rows(rows)))
     m = len(h_vectors)
     if m == 0:
-        return CentralizerSpace((), (), True)
+        return ()
     h_matrix = Matrix.from_rows(h_vectors)
     sub_rows = [h_matrix.apply(row) for row in rows]
     kernel = nullspace(Matrix.from_rows(sub_rows)) if sub_rows else [unit_vec(m, i) for i in range(m)]
     space = row_space(combination(coeffs, h_vectors) for coeffs in kernel)
-    return CentralizerSpace(
-        tuple(h_vectors), tuple(space.row(r) for r in range(space.rows)), True
-    )
+    return tuple(space.row(r) for r in range(space.rows))
 
 
 # -- pointwise centroid verification --------------------------------------
@@ -386,8 +376,13 @@ class CentralDerivations:
     basis: tuple              # LinearMaps: image in Z(A), kernel contains A*A
     cent_inter_der: tuple     # verified centroid subspace intersect Der
     stage1_inter_der: tuple   # stage-1 linear space intersect Der
-    contains_intersection: bool
-    equals_intersection: bool
+    contains_intersection: bool  # span(cent_inter_der) lies in span(basis)
+
+    @property
+    def equals_intersection(self):
+        """Both bases are independent, so the contained span is the whole
+        one exactly when the dimensions agree."""
+        return self.contains_intersection and len(self.cent_inter_der) == len(self.basis)
 
 
 @per_algebra
@@ -429,15 +424,12 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
         der_flats, [list(b.flatten()) for b in cent.subspace_basis]
     )
     # both bases are independent, so span(true_inter) lies in span(kernel)
-    # iff stacking them keeps the rank, and the spans are equal iff their
-    # dimensions also agree
-    contains = rank(Matrix.from_rows(kernel + true_inter)) == len(kernel)
+    # iff stacking them keeps the rank
     return CentralDerivations(
         basis,
         tuple(LinearMap.from_flat(n, v) for v in true_inter),
         tuple(LinearMap.from_flat(n, v) for v in stage1_inter),
-        contains,
-        contains and len(true_inter) == len(kernel),
+        rank(Matrix.from_rows(kernel + true_inter)) == len(kernel),
     )
 
 

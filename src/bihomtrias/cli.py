@@ -26,7 +26,6 @@ from .errors import BihomtriasError, ParseError
 from .reports import map_to_strings
 from .scalars import parse_scalar
 from .transforms import (
-    RotaBaxterData,
     direct_sum,
     is_isomorphism,
     rota_baxter_check,
@@ -238,7 +237,7 @@ def _cmd_rb(args, fmt):
     algebra = _load_algebra(args.a)
     op = parse_operator(_read(args.op), expected_dim=algebra.dim)
     weight = parse_scalar(args.weight, "weight")
-    ok, witnesses = rota_baxter_check(algebra, RotaBaxterData(op, weight))
+    ok, witnesses = rota_baxter_check(algebra, op, weight)
     payload = {
         "algebra": algebra.name,
         "weight": args.weight,

@@ -142,7 +142,5 @@ def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
         "derivation-basis", "published basis matrix {} is a derivation", recomputed,
     )
     status, dim_errata = dim_verdict(entry_id, "derivation", paper_dim, space.dim, recomputed)
-    return DerivationRow(
-        entry_id, space.dim, paper_dim, status, space.basis, claims, tuple(errata + dim_errata)
-    )
+    return DerivationRow(space, paper_dim, status, claims, tuple(errata + dim_errata))
 

@@ -3,7 +3,9 @@
 The errata log is the artifact's way of saying "this published table
 entry fails recomputation": every record carries the violated check, the
 expected (published) value, the recomputed value and a witness.  Records
-are plain data, deterministically ordered, and serialize to JSON.
+are plain data, deterministically ordered, and serialize to JSON.  A
+table row keeps the recomputed space it reports and adds only the
+published dimension, the verdict, the re-verified claims and the errata.
 """
 
 from __future__ import annotations
@@ -66,13 +68,23 @@ class ClaimVerification:
 
 @dataclass(frozen=True)
 class DerivationRow:
-    algebra: str
-    computed_dim: int
+    space: object  # the recomputed DerivationSpace
     paper_dim: int | None
     status: str  # match | mismatch | paper-silent
-    basis: tuple  # LinearMaps, canonical
     claims: tuple  # ClaimVerification
     errata: tuple  # ErrataRecord
+
+    @property
+    def algebra(self):
+        return self.space.algebra
+
+    @property
+    def computed_dim(self):
+        return self.space.dim
+
+    @property
+    def basis(self):
+        return self.space.basis
 
     def to_dict(self):
         return {
@@ -88,35 +100,31 @@ class DerivationRow:
 
 @dataclass(frozen=True)
 class CentroidRow:
-    algebra: str
-    linear_dim: int
-    computed_dim: int
+    space: object  # the recomputed CentroidSpace
     paper_dim: int | None
     status: str
-    linear_basis: tuple
-    subspace_basis: tuple
-    identically_zero: bool
-    obstruction_too_large: bool
-    method: str
-    solution_description: str
-    obstruction: tuple  # serialized polynomials
     claims: tuple
     errata: tuple
 
+    @property
+    def computed_dim(self):
+        return self.space.reported_dim
+
     def to_dict(self):
+        space = self.space
         return {
-            "algebra": self.algebra,
-            "linear_dim": self.linear_dim,
+            "algebra": space.algebra,
+            "linear_dim": space.linear_dim,
             "computed_dim": self.computed_dim,
             "paper_dim": self.paper_dim,
             "status": self.status,
-            "linear_basis": [map_to_strings(b) for b in self.linear_basis],
-            "subspace_basis": [map_to_strings(b) for b in self.subspace_basis],
-            "identically_zero": self.identically_zero,
-            "obstruction_too_large": self.obstruction_too_large,
-            "method": self.method,
-            "solution_description": self.solution_description,
-            "obstruction": list(self.obstruction),
+            "linear_basis": [map_to_strings(b) for b in space.linear_basis],
+            "subspace_basis": [map_to_strings(b) for b in space.subspace_basis],
+            "identically_zero": space.identically_zero,
+            "obstruction_too_large": space.obstruction_too_large,
+            "method": space.method,
+            "solution_description": space.solution_description,
+            "obstruction": [p.serialize() for p in space.obstruction],
             "claims": [c.to_dict() for c in self.claims],
             "errata": [e.to_dict() for e in self.errata],
         }

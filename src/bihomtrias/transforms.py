@@ -3,6 +3,9 @@
 Every construction returns the candidate object *together with* the
 report of the identities it is supposed to satisfy; a construction whose
 conclusion fails on some input is data for the errata log, not an error.
+The pointwise checks (morphisms, Rota-Baxter and averaging operators)
+return ``(holds, witnesses)``; a Rota-Baxter operator is passed as the
+map and its weight.
 """
 
 from __future__ import annotations
@@ -39,37 +42,13 @@ class BiHomAlgebra:
             raise DimensionMismatch("component dimension mismatch")
 
 
-@dataclass(frozen=True)
-class RotaBaxterData:
-    """Candidate Rota-Baxter operator with its weight; verified, not assumed."""
-
-    op: LinearMap
-    weight: Scalar
-
-
-@dataclass(frozen=True)
-class BracketPair:
-    """The antisymmetrized products x*y = x-|y - y|-x and [x,y] = x_|_y - y_|_x."""
-
-    star: MulTensor
-    bracket: MulTensor
-
-
-@dataclass(frozen=True)
-class MorphismReport:
-    witnesses: tuple  # Witness: commute-alpha/commute-beta, then one per product role
-
-    @property
-    def holds(self) -> bool:
-        return not self.witnesses
-
-
 def _tensor_from_pairs(dim, pair_fn) -> MulTensor:
     return MulTensor(dim, [[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)])
 
 
 def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
-    """Check psi : a -> b intertwines the twists and all three products."""
+    """Check psi : a -> b intertwines the twists and all three products;
+    returns ``(holds, witnesses)``, commute-alpha/commute-beta first."""
     if psi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("morphism endpoints must share the map's dimension")
     witnesses = twist_commutation_witnesses(a, psi, target=b)
@@ -79,13 +58,13 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
         witnesses += basis_witnesses(a.dim, 2, (
             role, lambda i, j: psi.apply(ta.pair(i, j)), lambda i, j: tb.bilinear(img[i], img[j])
         ))
-    return MorphismReport(tuple(witnesses))
+    return not witnesses, tuple(witnesses)
 
 
 def is_isomorphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
     """An invertible morphism; endpoints of another dimension raise
     DimensionMismatch whatever the map."""
-    return is_morphism(psi, a, b).holds and psi.is_invertible()
+    return is_morphism(psi, a, b)[0] and psi.is_invertible()
 
 
 def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
@@ -196,7 +175,7 @@ def graph_subalgebra_check(xi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra
 
     Membership of (x, y) in the graph means y = xi(x); checked on the
     images of graph basis vectors inside the direct sum.  Must coincide
-    with is_morphism(xi, a, b).
+    with is_morphism(xi, a, b)[0].
     """
     if xi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("graph check dimension mismatch")
@@ -222,10 +201,9 @@ def graph_subalgebra_check(xi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra
 
 # -- Rota-Baxter operators ----------------------------------------------
 
-def _rota_baxter_witnesses(algebra, rb: RotaBaxterData, identities):
+def _rota_baxter_witnesses(algebra, r: LinearMap, lam: Scalar, identities):
     """Twist commutation, then R(x) o R(y) = R(R(x) p y + x p R(y) + w x p y)
     on basis pairs for each ``(check, o, p)`` of outer and inner products."""
-    r, lam = rb.op, rb.weight
     if r.dim != algebra.dim:
         raise DimensionMismatch("operator dimension mismatch")
     n = algebra.dim
@@ -244,51 +222,57 @@ def _rota_baxter_witnesses(algebra, rb: RotaBaxterData, identities):
     return not witnesses, tuple(witnesses)
 
 
-def rota_baxter_check(algebra: BiHomTrialgebra, rb: RotaBaxterData):
-    """Verify the weighted Rota-Baxter identities on all basis pairs.
+def rota_baxter_check(algebra: BiHomTrialgebra, op: LinearMap, weight: Scalar):
+    """Verify the Rota-Baxter identities of weight ``weight`` for the
+    candidate ``op`` on all basis pairs.
 
     Note the left/right crossing: the |- of two R-images expands through
     -| arguments and vice versa; the middle product stays uncrossed.
     """
-    return _rota_baxter_witnesses(algebra, rb, (
+    return _rota_baxter_witnesses(algebra, op, weight, (
         ("rb-right-of-left", algebra.right, algebra.left),
         ("rb-left-of-right", algebra.left, algebra.right),
         ("rb-middle", algebra.middle, algebra.middle),
     ))
 
 
-def rota_baxter_check_single(algebra: BiHomAlgebra, rb: RotaBaxterData):
+def rota_baxter_check_single(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar):
     """Single-product Rota-Baxter identity R(x)*R(y) = R(R(x)*y + x*R(y) + w x*y)."""
-    return _rota_baxter_witnesses(algebra, rb, (("rb-single", algebra.mu, algebra.mu),))
+    return _rota_baxter_witnesses(
+        algebra, op, weight, (("rb-single", algebra.mu, algebra.mu),)
+    )
 
 
 @dataclass(frozen=True)
 class RBInducedResult:
     algebra: BiHomTrialgebra
     report: AxiomReport
-    precondition_holds: bool
     precondition_witnesses: tuple
 
+    @property
+    def precondition_holds(self) -> bool:
+        return not self.precondition_witnesses
 
-def rb_induced(algebra: BiHomAlgebra, rb: RotaBaxterData) -> RBInducedResult:
+
+def rb_induced(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar) -> RBInducedResult:
     """Induce x -| y = x*R(y), x |- y = R(x)*y, x _|_ y = w(x*y).
 
     The single-product Rota-Baxter identity is the stated hypothesis; it
     is verified and reported rather than trusted, and the induced
     candidate ships with its own axiom report.
     """
-    pre_ok, pre_wit = rota_baxter_check_single(algebra, rb)
+    _, pre_wit = rota_baxter_check_single(algebra, op, weight)
     n = algebra.dim
-    mu, r, lam = algebra.mu, rb.op, rb.weight
-    r_img = [r.image_of_basis(i) for i in range(n)]
+    mu = algebra.mu
+    r_img = [op.image_of_basis(i) for i in range(n)]
 
     left = _tensor_from_pairs(n, lambda i, j: mu.bilinear(unit_vec(n, i), r_img[j]))
     right = _tensor_from_pairs(n, lambda i, j: mu.bilinear(r_img[i], unit_vec(n, j)))
-    middle = _tensor_from_pairs(n, lambda i, j: vec_scale(lam, mu.pair(i, j)))
+    middle = _tensor_from_pairs(n, lambda i, j: vec_scale(weight, mu.pair(i, j)))
     candidate = BiHomTrialgebra(
         f"{algebra.name}~rb", n, left, right, middle, algebra.alpha, algebra.beta
     )
-    return RBInducedResult(candidate, check_axioms(candidate), pre_ok, pre_wit)
+    return RBInducedResult(candidate, check_axioms(candidate), pre_wit)
 
 
 # -- map swap, product sums, commutator ----------------------------------
@@ -297,8 +281,11 @@ def rb_induced(algebra: BiHomAlgebra, rb: RotaBaxterData) -> RBInducedResult:
 class SwapResult:
     algebra: BiHomTrialgebra
     hypotheses: dict
-    iso_tested: bool
-    iso_holds: bool | None
+    iso_holds: bool | None  # None unless every hypothesis holds
+
+    @property
+    def iso_tested(self) -> bool:
+        return self.iso_holds is not None
 
 
 def swap_maps(algebra: BiHomTrialgebra) -> SwapResult:
@@ -325,11 +312,8 @@ def swap_maps(algebra: BiHomTrialgebra) -> SwapResult:
         "alpha_beta_is_id": a.compose(b) == ident,
         "beta_alpha_is_id": b.compose(a) == ident,
     }
-    if all(hypotheses.values()):
-        return SwapResult(
-            swapped, hypotheses, True, is_morphism(ident, algebra, swapped).holds
-        )
-    return SwapResult(swapped, hypotheses, False, None)
+    iso = is_morphism(ident, algebra, swapped)[0] if all(hypotheses.values()) else None
+    return SwapResult(swapped, hypotheses, iso)
 
 
 def sum_middle_right(algebra: BiHomTrialgebra):
@@ -356,7 +340,8 @@ def sum_middle_right(algebra: BiHomTrialgebra):
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    pair: BracketPair
+    star: MulTensor             # x*y = x-|y - y|-x
+    bracket: MulTensor          # [x,y] = x_|_y - y_|_x
     beta_witnesses: tuple       # [x,y]*b(z) = [x*z, b(y)] + [a(x), y*z]
     alphabeta_witnesses: tuple  # same with ab(z) on the left-hand side
 
@@ -389,9 +374,7 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
         return tuple(basis_witnesses(n, 3, (check, lhs, rhs)))
 
     return CommutatorReport(
-        BracketPair(star, bracket),
-        sweep("commutator-beta", beta_img),
-        sweep("commutator-alphabeta", ab_img),
+        star, bracket, sweep("commutator-beta", beta_img), sweep("commutator-alphabeta", ab_img)
     )
 
 

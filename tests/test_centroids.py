@@ -18,6 +18,7 @@ from bihomtrias.core import (
     evaluate,
     zero_algebra,
 )
+from bihomtrias.documents import parse_algebra
 from bihomtrias.matrices import Matrix, in_span, unit_vec, vec_is_zero, zero_vec
 from bihomtrias.scalars import ONE, Scalar
 from bihomtrias.transforms import transport
@@ -34,15 +35,15 @@ def unit(n, q, p):
 def test_centralizer_of_zero_generators():
     a = catalog_get("BTas_2^1").algebra
     space = centralizer(a, [zero_vec(2)])
-    assert len(space.basis) == 2  # whole space
+    assert len(space) == 2  # whole space
     restricted = centralizer(a, [zero_vec(2)], restrict_to_h=True)
-    assert restricted.basis == ()  # span{0} = 0
+    assert restricted == ()  # span{0} = 0
 
 
 def test_centralizer_zero_algebra_is_everything():
     a = zero_algebra(3)
     space = centralizer(a, [unit_vec(3, i) for i in range(3)])
-    assert len(space.basis) == 3
+    assert len(space) == 3
 
 
 def test_centralizer_first_entry_against_direct_evaluation():
@@ -50,14 +51,14 @@ def test_centralizer_first_entry_against_direct_evaluation():
     h = [unit_vec(2, 0), unit_vec(2, 1)]
     space = centralizer(a, h)
     ab = a.alpha.compose(a.beta)
-    for x in space.basis:
+    for x in space:
         tw = ab.apply(x)
         for hv in h:
             for role in ROLES:
                 assert vec_is_zero(evaluate(a, role, tw, hv))
                 assert vec_is_zero(evaluate(a, role, hv, tw))
     # spot enumeration over a small grid finds nothing outside the span
-    basis_rows = [list(v) for v in space.basis]
+    basis_rows = [list(v) for v in space]
     for c1 in (-1, 0, 1):
         for c2 in (-1, 0, 1):
             x = (Scalar(c1), Scalar(c2))
@@ -75,7 +76,7 @@ def test_centralizer_restricted_reading():
     a = catalog_get("BTas_3^1").algebra
     h = [unit_vec(3, 2)]  # span{e3}
     space = centralizer(a, h, restrict_to_h=True)
-    for v in space.basis:
+    for v in space:
         assert in_span([list(x) for x in h], list(v))
 
 
@@ -150,6 +151,31 @@ def test_two_dim_reported_dims_recomputed():
     }
     for name, dim in expected.items():
         assert centroid_space(catalog_get(name).algebra).reported_dim == dim, name
+
+
+# A random dim-2 algebra (constants +-1/2, +-1) whose stage-1 space is the
+# diagonal: the degree-1 obstruction parts kill the E11 coordinate, and the
+# one residual direction E22 meets a nonzero quadratic part.
+SINGLE_RESIDUAL = """{"name": "single-residual", "dim": 2,
+  "left": [{"i": 2, "j": 2, "k": 1, "c": "-1/2"}, {"i": 2, "j": 2, "k": 2, "c": "1"}],
+  "right": [{"i": 1, "j": 1, "k": 2, "c": "-1/2"}, {"i": 2, "j": 2, "k": 2, "c": "1/2"}],
+  "middle": [{"i": 1, "j": 1, "k": 1, "c": "1/2"}, {"i": 1, "j": 1, "k": 2, "c": "1/2"}],
+  "alpha": [["-1/2", "0"], ["0", "0"]], "beta": [["-1", "0"], ["0", "1/2"]]}"""
+
+
+def test_single_residual_parameter_gives_only_the_zero_map():
+    a = parse_algebra(SINGLE_RESIDUAL)
+    space = centroid_space(a)
+    assert set(space.linear_basis) == {unit(2, 1, 1), unit(2, 2, 2)}
+    assert space.reported_dim == 0 and space.subspace_basis == ()
+    assert space.method == "exact-conic"
+    assert space.solution_description.startswith("single residual parameter")
+    for t in (ONE, -ONE, Scalar(2)):
+        assert not is_centroid_element(a, unit(2, 2, 2).scale(t))[0]
+    # the vanishing set is not a subspace: one point off the residual
+    # direction passes, its double does not
+    assert is_centroid_element(a, unit(2, 1, 1).scale(Scalar(1) / Scalar(2)))[0]
+    assert not is_centroid_element(a, unit(2, 1, 1))[0]
 
 
 def test_3_1_centroid_exceeds_published_dim():

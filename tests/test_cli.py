@@ -10,10 +10,11 @@ import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list, rota_baxter_example
 from bihomtrias.cli import build_parser, main
-from bihomtrias.documents import serialize_algebra, serialize_operator
+from bihomtrias.documents import algebra_to_document, serialize_algebra, serialize_operator
 from bihomtrias.core import LinearMap
 from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import Scalar
+from bihomtrias.transforms import total_sum
 
 
 def run_cli(*args):
@@ -188,6 +189,43 @@ def test_construct_total_sum(tmp_path, a21_file):
     doc = json.loads(out.read_text())
     assert doc["right"] == [] and doc["middle"] == []
     assert doc["left"]  # carries the summed product
+
+
+def test_construct_total_sum_warns_when_not_bihom_associative(tmp_path, capsys):
+    """BTas_2^3's total sum fails BiHom-associativity: the file is still
+    written, exit 0, and stderr names the failing triples."""
+    algebra = catalog_get("BTas_2^3").algebra
+    source, out = tmp_path / "a23.json", tmp_path / "total.json"
+    source.write_text(serialize_algebra(algebra))
+    failing = len(total_sum(algebra)[1])
+    assert failing
+    assert main(["construct", "total-sum", str(source), "-o", str(out)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == (
+        f"warning: candidate is not BiHom-associative ({failing} failing triples)\n"
+    )
+    assert stdout == f"wrote {out} (BTas_2^3~total, dim 2)\n"
+    assert json.loads(out.read_text())["name"] == "BTas_2^3~total"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_catalog_get_ambiguous_entry_notes_go_to_stderr(capsys, fmt):
+    entry = catalog_get("BTas_2^7")
+    assert main(["--format", fmt, "catalog", "get", "BTas_2^7"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout == json.dumps(algebra_to_document(entry.algebra), indent=2) + "\n"
+    assert len(entry.ambiguity_notes) == 2
+    assert stderr.splitlines() == [f"note: {note}" for note in entry.ambiguity_notes]
+
+
+def test_catalog_verify_text_prints_the_ambiguity_line(capsys):
+    assert main(["catalog", "verify", "BTas_3^24"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("BTas_3^24    axioms FAIL ")
+    assert lines[1] == (
+        f"{'':12s} ambiguity: {{'first-line-kept': False, 'second-line-kept': False}}"
+    )
+    assert lines[2].startswith("errata records: ")
 
 
 def test_rb_verify(tmp_path):

@@ -1,5 +1,9 @@
 """Import-surface sanity for the public package namespace."""
 
+import subprocess
+import sys
+import textwrap
+
 import bihomtrias
 
 
@@ -25,3 +29,35 @@ def test_public_names_resolve():
 
 def test_version():
     assert bihomtrias.__version__
+
+
+COUNT_CONSTRUCTIONS = textwrap.dedent("""
+    import sys
+
+    built = []
+
+    def count(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "__post_init__"
+                and type(frame.f_locals["self"]).__name__ == "BiHomTrialgebra"):
+            built.append(1)
+
+    sys.setprofile(count)
+    import bihomtrias
+    sys.setprofile(None)
+    at_import = len(built)
+    sys.setprofile(count)
+    bihomtrias.catalog_list()
+    bihomtrias.catalog_get("BTas_3^24")
+    sys.setprofile(None)
+    print(at_import, len(built))
+""")
+
+
+def test_import_constructs_no_algebra():
+    """The catalog is built on first use, once: importing the package
+    constructs no BiHomTrialgebra, and the first lookup constructs the
+    36 catalog algebras (31 entries and the 5 candidate readings)."""
+    r = subprocess.run(
+        [sys.executable, "-c", COUNT_CONSTRUCTIONS], capture_output=True, text=True, check=True
+    )
+    assert r.stdout.split() == ["0", "36"]

@@ -151,6 +151,8 @@ def test_scalar_sqrt():
     r = scalar_sqrt(Scalar(3, 4))
     assert r is not None and r * r == Scalar(3, 4)
     assert scalar_sqrt(Scalar(2)) is None
+    assert scalar_sqrt(Scalar(1, 1)) is None  # the norm 2 is not a square
+    assert scalar_sqrt(Scalar(0, 4)) is None  # norm 16 = 4^2, but (0 + 4)/2 = 2 is not
     rng = seeded("sqrt")
     for _ in range(100):
         w = random_scalar(rng)

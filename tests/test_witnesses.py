@@ -17,7 +17,6 @@ from bihomtrias.derivations import is_derivation
 from bihomtrias.scalars import ONE
 from bihomtrias.transforms import (
     BiHomAlgebra,
-    RotaBaxterData,
     averaging_check,
     bihom_associativity_witnesses,
     commutator_construct,
@@ -51,10 +50,10 @@ CHECKERS = {
     "twist_commutation_witnesses": (lambda: twist_commutation_witnesses(A, U), lambda w: 1),
     "is_derivation": (lambda: is_derivation(A, U)[1], _twist_or(2)),
     "is_centroid_element": (lambda: is_centroid_element(A, U)[1], _twist_or(2)),
-    "is_morphism": (lambda: is_morphism(U, A, transport(A, SWAP)).witnesses, _twist_or(2)),
-    "rota_baxter_check": (lambda: rota_baxter_check(A, RotaBaxterData(U, ONE))[1], _twist_or(2)),
+    "is_morphism": (lambda: is_morphism(U, A, transport(A, SWAP))[1], _twist_or(2)),
+    "rota_baxter_check": (lambda: rota_baxter_check(A, U, ONE)[1], _twist_or(2)),
     "rota_baxter_check_single": (
-        lambda: rota_baxter_check_single(SINGLE, RotaBaxterData(U, ONE))[1],
+        lambda: rota_baxter_check_single(SINGLE, U, ONE)[1],
         _twist_or(2),
     ),
     "averaging_check": (lambda: averaging_check(A, U)[1], _twist_or(2)),
