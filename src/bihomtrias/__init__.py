@@ -16,7 +16,6 @@ from .catalog import (
     distinguish,
     fingerprint,
     rota_baxter_example,
-    verify_isomorphism,
 )
 from .centroids import (
     CentroidSpace,
@@ -26,7 +25,6 @@ from .centroids import (
     centroid_space,
     is_centroid_element,
 )
-from .coordinate import check_coordinate_form
 from .core import (
     AxiomReport,
     BiHomTrialgebra,
@@ -34,7 +32,6 @@ from .core import (
     MulTensor,
     check_axioms,
     check_multiplicativity,
-    evaluate,
     full_report,
     zero_algebra,
 )

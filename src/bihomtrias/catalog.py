@@ -26,12 +26,19 @@ from .centroids import (
 )
 from .coordinate import coordinate_detail
 from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor, full_report, products_span
-from .derivations import derivation_row, derivation_space
+from .derivations import derivation_space, is_derivation
 from .errors import UnknownId
 from .matrices import Matrix, rank
-from .reports import CentroidRow, ErrataRecord, dim_verdict, map_to_strings, published_unit_claims
+from .reports import (
+    CentroidRow,
+    DerivationRow,
+    ErrataRecord,
+    dim_verdict,
+    map_to_strings,
+    published_unit_claims,
+)
 from .scalars import ONE, ZERO, Scalar
-from .transforms import is_isomorphism, rota_baxter_check
+from .transforms import rota_baxter_check
 
 
 def _tensor_from_spec(dim, spec):
@@ -201,13 +208,24 @@ def distinguished_pair_counts(ids=None):
     return distinguished, inconclusive
 
 
-def verify_isomorphism(a_id: str, b_id: str, psi: LinearMap) -> bool:
-    a = catalog_get(a_id).algebra
-    b = catalog_get(b_id).algebra
-    return is_isomorphism(psi, a, b)
-
-
 # -- verification harness ----------------------------------------------------
+
+def derivation_row(entry: CatalogEntry) -> DerivationRow:
+    """Recompute the derivation space, compare it with the published row,
+    re-verify every published basis matrix; errata on any mismatch."""
+    algebra = entry.algebra
+    space = derivation_space(algebra)
+    recomputed = {
+        "recomputed_dim": space.dim,
+        "recomputed_basis": [map_to_strings(b) for b in space.basis],
+    }
+    claims, errata = published_unit_claims(
+        entry.id, algebra.dim, entry.paper_der_units, lambda u: is_derivation(algebra, u),
+        space.flats(), "derivation-basis", "published basis matrix {} is a derivation", recomputed,
+    )
+    status, dim_errata = dim_verdict(entry.id, "derivation", entry.paper_der_dim, space.dim, recomputed)
+    return DerivationRow(space, entry.paper_der_dim, status, claims, tuple(errata + dim_errata))
+
 
 def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     algebra = entry.algebra
@@ -324,16 +342,12 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
                 list(entry.ambiguity_notes),
             )
         )
-    der_row = derivation_row(
-        entry.id, algebra, entry.paper_der_dim, entry.paper_der_units
-    )
-    cent_row = _centroid_row(entry)
     return EntryVerification(
         entry.id,
         checks,
         coordinate_agrees,
-        der_row,
-        cent_row,
+        derivation_row(entry),
+        _centroid_row(entry),
         tuple(ambiguity),
         candidate_profiles,
         tuple(errata),

@@ -442,7 +442,6 @@ def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
 
 @dataclass(frozen=True)
 class CentDerSuiteReport:
-    algebra: str
     records: tuple
     failures: tuple  # ErrataRecord
 
@@ -513,4 +512,4 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
                 for key, check, expected in _SUITE_CHECKS
                 if not rec[key]
             )
-    return CentDerSuiteReport(entry_id, tuple(records), tuple(failures))
+    return CentDerSuiteReport(tuple(records), tuple(failures))

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 completed, 1 check failed under --strict, 2 input error.
+Exit codes: 0 completed, 1 check failed under --strict, 2 input error,
+141 stdout closed early (the shell's code for a process ended by SIGPIPE).
 Structured output is canonical JSON (stable key order, canonical scalar
 strings) and contains nothing run-dependent, so repeated invocations on
 the same inputs are byte-identical.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import catalog_get, catalog_list, catalog_verify
@@ -321,9 +323,15 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         status = args.run(args, args.format)
+        sys.stdout.flush()
     except BihomtriasError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point fd 1 at devnull so the interpreter's
+        # final flush of what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if status is None:
         return 1 if args.strict else 0
     return status

@@ -142,11 +142,3 @@ def coordinate_detail(algebra: BiHomTrialgebra):
         lhs = _table(_map_of_product_terms(rows[role], cols[twist]))
         detail[tag] = lhs == _table(_product_of_maps_terms(rows[role], cols[twist]))
     return detail
-
-
-def check_coordinate_form(algebra: BiHomTrialgebra) -> bool:
-    """True iff every defining identity holds in coordinate form.
-
-    Must coincide with check_axioms + check_multiplicativity all passing.
-    """
-    return all(coordinate_detail(algebra).values())

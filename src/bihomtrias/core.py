@@ -273,11 +273,6 @@ def zero_algebra(dim: int, name: str = "zero") -> BiHomTrialgebra:
     return BiHomTrialgebra(name, dim, z, z, z, LinearMap.zero(dim), LinearMap.zero(dim))
 
 
-def evaluate(algebra: BiHomTrialgebra, role: str, x: Vector, y: Vector) -> Vector:
-    """Bilinear product of two vectors under the selected product."""
-    return algebra.tensor(role).bilinear(x, y)
-
-
 def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
     """Basis vectors on which u . f != g . u for the twist pairs (f, g).
 

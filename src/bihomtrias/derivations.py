@@ -27,7 +27,6 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .matrices import Matrix, nullspace, unit_vec, vec_add
-from .reports import DerivationRow, dim_verdict, map_to_strings, published_unit_claims
 from .scalars import ZERO
 
 
@@ -127,20 +126,4 @@ def derivation_space(algebra: BiHomTrialgebra) -> DerivationSpace:
     kernel = nullspace(derivation_system(algebra))
     basis = tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
     return DerivationSpace(algebra.name, basis)
-
-
-def derivation_row(entry_id, algebra, paper_dim, paper_units) -> DerivationRow:
-    """Build one report row: recompute, compare with the published row,
-    re-verify every published basis matrix, errata on any mismatch."""
-    space = derivation_space(algebra)
-    recomputed = {
-        "recomputed_dim": space.dim,
-        "recomputed_basis": [map_to_strings(b) for b in space.basis],
-    }
-    claims, errata = published_unit_claims(
-        entry_id, algebra.dim, paper_units, lambda u: is_derivation(algebra, u), space.flats(),
-        "derivation-basis", "published basis matrix {} is a derivation", recomputed,
-    )
-    status, dim_errata = dim_verdict(entry_id, "derivation", paper_dim, space.dim, recomputed)
-    return DerivationRow(space, paper_dim, status, claims, tuple(errata + dim_errata))
 

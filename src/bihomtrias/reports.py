@@ -50,11 +50,14 @@ class ErrataRecord:
 class ClaimVerification:
     """Outcome of re-verifying one published basis matrix."""
 
-    label: str
     position: tuple  # (row, col), 1-based
     passes: bool
     transpose_passes: bool
     in_computed_span: bool
+
+    @property
+    def label(self):
+        return unit_label(*self.position)
 
     def to_dict(self):
         return {
@@ -160,7 +163,7 @@ def published_unit_claims(entry_id, dim, units, check, span_flats, kind, expecte
         ok, wit = check(unit)
         t_ok, _ = check(LinearMap.unit(dim, p - 1, q - 1))
         claims.append(
-            ClaimVerification(label, (q, p), ok, t_ok, in_span(span_flats, list(unit.flatten())))
+            ClaimVerification((q, p), ok, t_ok, in_span(span_flats, list(unit.flatten())))
         )
         if not ok:
             errata.append(

@@ -23,8 +23,8 @@ from .core import (
     twist_commutation_witnesses,
 )
 from .errors import DimensionMismatch, PreconditionFailed
-from .matrices import Matrix, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
-from .scalars import ZERO, Scalar
+from .matrices import unit_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .scalars import Scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,16 +150,10 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
         return _tensor_from_pairs(n, pair)
 
     def block_map(fa, fb):
-        ent = []
-        for r in range(n):
-            for c in range(n):
-                if r < na and c < na:
-                    ent.append(fa.matrix[r, c])
-                elif r >= na and c >= na:
-                    ent.append(fb.matrix[r - na, c - na])
-                else:
-                    ent.append(ZERO)
-        return LinearMap(Matrix(n, n, ent))
+        images = {i: fa.image_of_basis(i) + zero_vec(nb) for i in range(na)}
+        for i in range(nb):
+            images[na + i] = zero_vec(na) + fb.image_of_basis(i)
+        return LinearMap.from_images(n, images)
 
     return BiHomTrialgebra(
         f"{a.name}(+){b.name}",
@@ -359,12 +353,11 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
     ab_img = [algebra.alpha.apply(beta_img[k]) for k in range(n)]
-    e = [unit_vec(n, i) for i in range(n)]
 
     def rhs(i, j, k):
         return vec_add(
-            bracket.bilinear(star.bilinear(e[i], e[k]), beta_img[j]),
-            bracket.bilinear(alpha_img[i], star.bilinear(e[j], e[k])),
+            bracket.bilinear(star.pair(i, k), beta_img[j]),
+            bracket.bilinear(alpha_img[i], star.pair(j, k)),
         )
 
     def sweep(check, z_img):

@@ -13,14 +13,13 @@ from bihomtrias.catalog import (
     fingerprint,
     interaction_report,
     rota_baxter_example_report,
-    verify_isomorphism,
 )
 from bihomtrias.core import LinearMap
 from bihomtrias.documents import parse_algebra, serialize_algebra
 from bihomtrias.errors import DimensionMismatch, UnknownId
 from bihomtrias.matrices import Matrix, unit_vec, zero_vec
 from bihomtrias.scalars import Scalar
-from bihomtrias.transforms import transport
+from bihomtrias.transforms import is_isomorphism, transport
 
 from oracles import seeded
 
@@ -175,12 +174,13 @@ def test_pairwise_distinguish_counts():
 
 
 def test_verify_isomorphism_basics():
-    assert verify_isomorphism("BTas_2^1", "BTas_2^1", LinearMap.identity(2))
-    assert not verify_isomorphism("BTas_2^1", "BTas_2^1", LinearMap.zero(2))
-    assert not verify_isomorphism("BTas_2^1", "BTas_2^2", LinearMap.identity(2))
+    a21, a22, a31 = (catalog_get(i).algebra for i in ("BTas_2^1", "BTas_2^2", "BTas_3^1"))
+    assert is_isomorphism(LinearMap.identity(2), a21, a21)
+    assert not is_isomorphism(LinearMap.zero(2), a21, a21)
+    assert not is_isomorphism(LinearMap.identity(2), a21, a22)
     for psi in (LinearMap.identity(2), LinearMap.zero(2)):
         with pytest.raises(DimensionMismatch):
-            verify_isomorphism("BTas_2^1", "BTas_3^1", psi)
+            is_isomorphism(psi, a21, a31)
 
 
 def test_rb_example_report():

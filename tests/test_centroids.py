@@ -15,7 +15,6 @@ from bihomtrias.core import (
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
-    evaluate,
     zero_algebra,
 )
 from bihomtrias.documents import parse_algebra
@@ -55,8 +54,8 @@ def test_centralizer_first_entry_against_direct_evaluation():
         tw = ab.apply(x)
         for hv in h:
             for role in ROLES:
-                assert vec_is_zero(evaluate(a, role, tw, hv))
-                assert vec_is_zero(evaluate(a, role, hv, tw))
+                assert vec_is_zero(a.tensor(role).bilinear(tw, hv))
+                assert vec_is_zero(a.tensor(role).bilinear(hv, tw))
     # spot enumeration over a small grid finds nothing outside the span
     basis_rows = [list(v) for v in space]
     for c1 in (-1, 0, 1):
@@ -64,8 +63,8 @@ def test_centralizer_first_entry_against_direct_evaluation():
             x = (Scalar(c1), Scalar(c2))
             tw = ab.apply(x)
             ok = all(
-                vec_is_zero(evaluate(a, role, tw, hv))
-                and vec_is_zero(evaluate(a, role, hv, tw))
+                vec_is_zero(a.tensor(role).bilinear(tw, hv))
+                and vec_is_zero(a.tensor(role).bilinear(hv, tw))
                 for role in ROLES
                 for hv in h
             )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -170,6 +171,15 @@ def test_iso_between_dimensions_exits_2_whatever_the_map(tmp_path, capsys, a21_f
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: morphism endpoints must share the map's dimension\n"
+
+
+def test_iso_with_an_empty_map_exits_2(tmp_path, capsys, a21_file):
+    psi = tmp_path / "empty.json"
+    psi.write_text("[]")
+    assert main(["iso", a21_file, a21_file, "--map", str(psi)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_construct_direct_sum(tmp_path, a21_file):
@@ -436,3 +446,28 @@ def test_unreadable_json_exits_2_without_traceback(capsys, a21_file, unreadable_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "structured", "catalog", "verify", "--all"),
+    ("catalog", "get", "BTas_2^7"),
+    ("catalog", "list"),
+    ("verify", "{a}"),
+    ("der", "{a}"),
+    ("cent", "{a}"),
+], ids=lambda argv: " ".join(argv))
+def test_closed_stdout_exits_141_without_traceback(a21_file, argv):
+    """A reader that is gone (``... | head``) ends the command with the
+    shell's SIGPIPE status.  The read end is closed before the child starts,
+    so the outcome does not depend on the pipe's buffer size."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "bihomtrias.cli", *(a.format(a=a21_file) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 141
+    assert "Traceback" not in r.stderr

@@ -3,10 +3,9 @@ import json
 
 import pytest
 
-from bihomtrias.catalog import catalog_get, catalog_list
+from bihomtrias.catalog import catalog_get, catalog_list, derivation_row
 from bihomtrias.core import LinearMap, zero_algebra
 from bihomtrias.derivations import (
-    derivation_row,
     derivation_space,
     derivation_system,
     is_derivation,
@@ -147,7 +146,7 @@ def test_dimension_mismatch_rejected():
 
 def test_derivation_row_match_and_errata():
     entry = catalog_get("BTas_2^1")
-    row = derivation_row(entry.id, entry.algebra, entry.paper_der_dim, entry.paper_der_units)
+    row = derivation_row(entry)
     assert row.status == "match"  # dimensions agree
     claim = row.claims[0]
     assert claim.label == "E21" and not claim.passes and claim.transpose_passes
@@ -158,7 +157,7 @@ def test_derivation_row_match_and_errata():
 
 def test_derivation_row_mismatch_ships_recomputed_basis():
     entry = catalog_get("BTas_3^14")
-    row = derivation_row(entry.id, entry.algebra, entry.paper_der_dim, entry.paper_der_units)
+    row = derivation_row(entry)
     assert row.status == "mismatch"
     dim_erratum = next(e for e in row.errata if e.check == "derivation-dim")
     assert dim_erratum.computed["recomputed_dim"] == 2
@@ -167,7 +166,7 @@ def test_derivation_row_mismatch_ships_recomputed_basis():
 
 def test_derivation_row_paper_silent():
     entry = catalog_get("BTas_3^16")
-    row = derivation_row(entry.id, entry.algebra, entry.paper_der_dim, entry.paper_der_units)
+    row = derivation_row(entry)
     assert row.status == "paper-silent"
     assert row.paper_dim is None
 
@@ -180,10 +179,7 @@ def test_canonical_basis_is_rref_of_kernel():
 
 
 def test_table_report_over_catalog():
-    rows = [
-        derivation_row(e.id, e.algebra, e.paper_der_dim, e.paper_der_units)
-        for e in map(catalog_get, catalog_list())
-    ]
+    rows = [derivation_row(e) for e in map(catalog_get, catalog_list())]
     assert len(rows) == 31
     by_id = {r.algebra: r for r in rows}
     statuses = {r.status for r in rows}
