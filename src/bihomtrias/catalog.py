@@ -67,7 +67,6 @@ def _algebra_from_raw(name, raw, override=None):
         spec[slot] = products
     return BiHomTrialgebra(
         name,
-        dim,
         *(_tensor_from_spec(dim, spec[role]) for role in ROLES),
         _map_from_spec(dim, spec["alpha"]),
         _map_from_spec(dim, spec["beta"]),
@@ -76,14 +75,17 @@ def _algebra_from_raw(name, raw, override=None):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    id: str
-    algebra: BiHomTrialgebra
+    algebra: BiHomTrialgebra  # named by the entry id
     paper_der_dim: int | None
     paper_der_units: tuple
     paper_cent_dim: int | None
     paper_cent_units: tuple
     ambiguity_notes: tuple
     candidates: tuple  # (label, BiHomTrialgebra) for ambiguous entries
+
+    @property
+    def id(self) -> str:
+        return self.algebra.name
 
 
 @cache
@@ -112,7 +114,6 @@ def _catalog():
             cent = catalog_data.CENT_TABLE.get(name)
             cent_dim, cent_units = (cent if cent else (None, ()))
         entries[name] = CatalogEntry(
-            name,
             algebra,
             der[0] if der else None,
             der[1] if der else (),

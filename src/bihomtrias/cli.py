@@ -26,7 +26,7 @@ from .documents import (
 )
 from .errors import BihomtriasError, ParseError
 from .reports import map_to_strings
-from .scalars import parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .transforms import (
     direct_sum,
     is_isomorphism,
@@ -220,8 +220,7 @@ def _cmd_total_sum(args, fmt):
     # carries the product and whose other two slots are zero.
     zero = MulTensor.zero(algebra.dim)
     result = BiHomTrialgebra(
-        f"{algebra.name}~total", algebra.dim, candidate.mu, zero, zero,
-        candidate.alpha, candidate.beta,
+        f"{algebra.name}~total", candidate.mu, zero, zero, candidate.alpha, candidate.beta
     )
     if witnesses:
         print(f"warning: candidate is not BiHom-associative "
@@ -242,7 +241,7 @@ def _cmd_rb(args, fmt):
     ok, witnesses = rota_baxter_check(algebra, op, weight)
     payload = {
         "algebra": algebra.name,
-        "weight": args.weight,
+        "weight": format_scalar(weight),
         "holds": ok,
         "failing_pairs": [[w.check, w.i, w.j] for w in witnesses],
     }

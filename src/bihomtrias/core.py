@@ -58,11 +58,10 @@ class MulTensor:
     which product a tensor is follows from the slot that holds it.
     """
 
-    dim: int
+    dim: int = field(init=False)
     c: tuple
 
     def __post_init__(self):
-        dim = self.dim
         c = tuple(
             tuple(
                 tuple(x if isinstance(x, Scalar) else Scalar(x) for x in row)
@@ -70,15 +69,15 @@ class MulTensor:
             )
             for plane in self.c
         )
-        if len(c) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
-        ):
+        dim = len(c)
+        if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in c):
             raise DimensionMismatch(f"tensor is not {dim}x{dim}x{dim}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "c", c)
 
     @staticmethod
     def zero(dim: int) -> "MulTensor":
-        return MulTensor(dim, [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)])
+        return MulTensor([[[ZERO] * dim for _ in range(dim)] for _ in range(dim)])
 
     @staticmethod
     def from_entries(dim: int, entries) -> "MulTensor":
@@ -86,7 +85,7 @@ class MulTensor:
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), v in entries.items():
             c[i][j][k] = v if isinstance(v, Scalar) else Scalar(v)
-        return MulTensor(dim, c)
+        return MulTensor(c)
 
     def pair(self, i: int, j: int) -> Vector:
         """The product e_i * e_j as a coefficient vector."""
@@ -204,7 +203,8 @@ class LinearMap:
 
 @dataclass(frozen=True, slots=True)
 class BiHomTrialgebra:
-    """Three products plus two twisting maps on a common dimension.
+    """Three products plus two twisting maps on a common dimension, the
+    dimension of the left product.
 
     No axiom is enforced here; use :func:`check_axioms`.  ``_memo`` holds
     the analyses of :func:`per_algebra` functions; equality, hashing and
@@ -212,7 +212,7 @@ class BiHomTrialgebra:
     """
 
     name: str = field(compare=False)
-    dim: int
+    dim: int = field(init=False)
     left: MulTensor
     right: MulTensor
     middle: MulTensor
@@ -221,13 +221,14 @@ class BiHomTrialgebra:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        dim = self.dim
-        for role in ROLES:
+        dim = self.left.dim
+        for role in (RIGHT, MIDDLE):
             t = getattr(self, role)
             if t.dim != dim:
                 raise DimensionMismatch(f"{role} tensor has dim {t.dim}, expected {dim}")
         if self.alpha.dim != dim or self.beta.dim != dim:
             raise DimensionMismatch("twisting map dimension mismatch")
+        object.__setattr__(self, "dim", dim)
 
     def tensor(self, role: str) -> MulTensor:
         if role not in ROLES:
@@ -268,9 +269,9 @@ def ab_images(algebra: BiHomTrialgebra):
     return tuple(ab.image_of_basis(i) for i in range(algebra.dim))
 
 
-def zero_algebra(dim: int, name: str = "zero") -> BiHomTrialgebra:
+def zero_algebra(dim: int) -> BiHomTrialgebra:
     z = MulTensor.zero(dim)
-    return BiHomTrialgebra(name, dim, z, z, z, LinearMap.zero(dim), LinearMap.zero(dim))
+    return BiHomTrialgebra("zero", z, z, z, LinearMap.zero(dim), LinearMap.zero(dim))
 
 
 def twist_commutation_witnesses(algebra, u: LinearMap, target=None):

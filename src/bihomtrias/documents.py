@@ -107,7 +107,7 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
     tensors = [_parse_tensor(doc.get(role, []), dim, role) for role in ROLES]
     alpha = _parse_map(doc["alpha"], dim, "alpha") if "alpha" in doc else LinearMap.zero(dim)
     beta = _parse_map(doc["beta"], dim, "beta") if "beta" in doc else LinearMap.zero(dim)
-    return BiHomTrialgebra(name, dim, *tensors, alpha, beta)
+    return BiHomTrialgebra(name, *tensors, alpha, beta)
 
 
 def algebra_to_document(algebra: BiHomTrialgebra) -> dict:

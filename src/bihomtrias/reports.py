@@ -78,24 +78,17 @@ class DerivationRow:
     errata: tuple  # ErrataRecord
 
     @property
-    def algebra(self):
-        return self.space.algebra
-
-    @property
     def computed_dim(self):
         return self.space.dim
 
-    @property
-    def basis(self):
-        return self.space.basis
-
     def to_dict(self):
+        space = self.space
         return {
-            "algebra": self.algebra,
+            "algebra": space.algebra,
             "computed_dim": self.computed_dim,
             "paper_dim": self.paper_dim,
             "status": self.status,
-            "basis": [map_to_strings(b) for b in self.basis],
+            "basis": [map_to_strings(b) for b in space.basis],
             "claims": [c.to_dict() for c in self.claims],
             "errata": [e.to_dict() for e in self.errata],
         }

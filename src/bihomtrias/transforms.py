@@ -10,7 +10,7 @@ map and its weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     ROLES,
@@ -18,6 +18,7 @@ from .core import (
     BiHomTrialgebra,
     LinearMap,
     MulTensor,
+    ab_images,
     basis_witnesses,
     check_axioms,
     twist_commutation_witnesses,
@@ -29,21 +30,24 @@ from .scalars import Scalar
 
 @dataclass(frozen=True, slots=True)
 class BiHomAlgebra:
-    """A single-product (A, *, alpha, beta); associativity is checkable, not assumed."""
+    """A single-product (A, *, alpha, beta) on the dimension of the product;
+    associativity is checkable, not assumed."""
 
     name: str
-    dim: int
+    dim: int = field(init=False)
     mu: MulTensor
     alpha: LinearMap
     beta: LinearMap
 
     def __post_init__(self):
-        if self.mu.dim != self.dim or self.alpha.dim != self.dim or self.beta.dim != self.dim:
+        dim = self.mu.dim
+        if self.alpha.dim != dim or self.beta.dim != dim:
             raise DimensionMismatch("component dimension mismatch")
+        object.__setattr__(self, "dim", dim)
 
 
 def _tensor_from_pairs(dim, pair_fn) -> MulTensor:
-    return MulTensor(dim, [[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)])
+    return MulTensor([[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)])
 
 
 def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
@@ -88,7 +92,6 @@ def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
 
     return BiHomTrialgebra(
         f"{algebra.name}~transport",
-        n,
         *(_tensor_from_pairs(n, conjugated(t)) for t in algebra.tensors()),
         psi.compose(algebra.alpha).compose(inv),
         psi.compose(algebra.beta).compose(inv),
@@ -126,7 +129,6 @@ def untwist(algebra: BiHomTrialgebra):
 
     candidate = BiHomTrialgebra(
         f"{algebra.name}~untwist",
-        n,
         *(_tensor_from_pairs(n, untwisted(t)) for t in algebra.tensors()),
         LinearMap.identity(n),
         LinearMap.identity(n),
@@ -157,7 +159,6 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
 
     return BiHomTrialgebra(
         f"{a.name}(+){b.name}",
-        n,
         *map(block_tensor, a.tensors(), b.tensors()),
         block_map(a.alpha, b.alpha),
         block_map(a.beta, b.beta),
@@ -264,7 +265,7 @@ def rb_induced(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar) -> RBInduce
     right = _tensor_from_pairs(n, lambda i, j: mu.bilinear(r_img[i], unit_vec(n, j)))
     middle = _tensor_from_pairs(n, lambda i, j: vec_scale(weight, mu.pair(i, j)))
     candidate = BiHomTrialgebra(
-        f"{algebra.name}~rb", n, left, right, middle, algebra.alpha, algebra.beta
+        f"{algebra.name}~rb", left, right, middle, algebra.alpha, algebra.beta
     )
     return RBInducedResult(candidate, check_axioms(candidate), pre_wit)
 
@@ -291,7 +292,6 @@ def swap_maps(algebra: BiHomTrialgebra) -> SwapResult:
     """
     swapped = BiHomTrialgebra(
         f"{algebra.name}~swap",
-        algebra.dim,
         algebra.left,
         algebra.right,
         algebra.middle,
@@ -322,7 +322,6 @@ def sum_middle_right(algebra: BiHomTrialgebra):
     )
     candidate = BiHomTrialgebra(
         f"{algebra.name}~sum-mr",
-        n,
         algebra.left,
         algebra.middle,
         star,
@@ -352,7 +351,6 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
     )
     alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
     beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
-    ab_img = [algebra.alpha.apply(beta_img[k]) for k in range(n)]
 
     def rhs(i, j, k):
         return vec_add(
@@ -367,7 +365,8 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
         return tuple(basis_witnesses(n, 3, (check, lhs, rhs)))
 
     return CommutatorReport(
-        star, bracket, sweep("commutator-beta", beta_img), sweep("commutator-alphabeta", ab_img)
+        star, bracket,
+        sweep("commutator-beta", beta_img), sweep("commutator-alphabeta", ab_images(algebra)),
     )
 
 
@@ -397,9 +396,7 @@ def total_sum(algebra: BiHomTrialgebra):
             algebra.middle.pair(i, j),
         ),
     )
-    candidate = BiHomAlgebra(
-        f"{algebra.name}~total", n, star, algebra.alpha, algebra.beta
-    )
+    candidate = BiHomAlgebra(f"{algebra.name}~total", star, algebra.alpha, algebra.beta)
     return candidate, bihom_associativity_witnesses(candidate)
 
 
@@ -451,7 +448,6 @@ def averaging_induced(algebra: BiHomAlgebra) -> tuple:
     b_img = [algebra.beta.image_of_basis(i) for i in range(n)]
     candidate = BiHomTrialgebra(
         f"{algebra.name}~avg",
-        n,
         _tensor_from_pairs(n, lambda i, j: mu.bilinear(a_img[i], unit_vec(n, j))),
         _tensor_from_pairs(n, lambda i, j: mu.bilinear(unit_vec(n, i), b_img[j])),
         _tensor_from_pairs(n, lambda i, j: mu.bilinear(a_img[i], b_img[j])),

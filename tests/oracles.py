@@ -73,13 +73,13 @@ def random_dense_algebra(rng, dim):
         return random_scalar(rng, max_den=2, span=2) if rng.random() < 0.7 else ZERO
 
     def tensor():
-        return MulTensor(dim, [[[scalar() for _ in range(dim)] for _ in range(dim)]
-                               for _ in range(dim)])
+        return MulTensor([[[scalar() for _ in range(dim)] for _ in range(dim)]
+                          for _ in range(dim)])
 
     def twist():
         return LinearMap(Matrix(dim, dim, [scalar() for _ in range(dim * dim)]))
 
-    return BiHomTrialgebra("dense", dim, *(tensor() for _ in ROLES), twist(), twist())
+    return BiHomTrialgebra("dense", *(tensor() for _ in ROLES), twist(), twist())
 
 
 def derivation_system_indexform(algebra) -> Matrix:

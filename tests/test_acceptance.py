@@ -25,7 +25,7 @@ from bihomtrias.centroids import centroid_space, is_centroid_element
 from bihomtrias.core import LinearMap, full_report
 from bihomtrias.derivations import derivation_space
 from bihomtrias.errors import SingularMatrix
-from bihomtrias.matrices import Matrix, inverse, nullspace, rank, vec_is_zero
+from bihomtrias.matrices import Matrix, in_span, inverse, nullspace, rank, vec_is_zero
 from bihomtrias.scalars import Scalar
 from bihomtrias.transforms import (
     direct_sum,
@@ -140,20 +140,27 @@ def test_criterion_2_derivation_tables():
         for name in ("BTas_2^1", "BTas_2^2", "BTas_2^6"):
             row = rows[name]
             assert row.computed_dim == 1 and row.paper_dim == 1
-            assert row.basis == (unit(2, 1, 2),)
+            assert row.space.basis == (unit(2, 1, 2),)
             claim = row.claims[0]
             assert claim.position == (2, 1)
 
         # every published basis matrix either passes is_derivation or its
-        # failure is errata'd with the recomputed canonical basis
+        # failure is errata'd with the recomputed canonical basis; the
+        # kernel is the definition both ways, for each unit and its transpose
         verified = failed = transposed = 0
         for name, row in rows.items():
+            n = catalog_get(name).algebra.dim
             for claim in row.claims:
+                q, p = claim.position
+                assert claim.transpose_passes == in_span(
+                    row.space.flats(), unit(n, p, q).flatten()
+                ), (name, claim.label)
                 if claim.passes:
                     verified += 1
                     assert claim.in_computed_span, (name, claim.label)
                 else:
                     failed += 1
+                    assert not claim.in_computed_span, (name, claim.label)
                     transposed += bool(claim.transpose_passes)
                     tag = f"derivation-basis:{claim.label}"
                     erratum = next(e for e in row.errata if e.check == tag)

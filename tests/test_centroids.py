@@ -104,7 +104,7 @@ def test_literal_right_chain_variant_differs():
     # alpha = id, beta = 0, nonzero |- product: the ab(y) reading zeroes
     # the first chain member while the literal alpha psi(y) keeps it.
     a = BiHomTrialgebra(
-        "variant", 2,
+        "variant",
         MulTensor.zero(2),
         MulTensor.from_entries(2, {(0, 0, 0): ONE}),
         MulTensor.zero(2),

@@ -272,6 +272,22 @@ def test_rb_verify_text_output(tmp_path, capsys):
     assert any(line.endswith(" at pair (2, 1)") for line in lines[1:])
 
 
+def test_rb_verify_prints_the_canonical_weight(tmp_path, capsys):
+    algebra_file = tmp_path / "rb.json"
+    algebra_file.write_text(serialize_algebra(rota_baxter_example()))
+    op = tmp_path / "r.json"
+    op.write_text(serialize_operator(LinearMap.zero(2)))
+
+    def run(weight, *options):
+        main([*options, "rb", "verify", str(algebra_file), "--op", str(op), "--weight", weight])
+        return capsys.readouterr().out
+
+    spelled = run(" 2/4", "--format", "structured")
+    assert spelled == run("1/2", "--format", "structured")
+    assert '"weight": "1/2"' in spelled
+    assert run("-0").startswith("Rota-Baxter check (weight 0): ")
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("frobnicate",),

@@ -74,7 +74,7 @@ def test_a_side_whose_terms_cancel_drops_the_zero_sum():
         (0, 0, 0): ONE, (0, 0, 1): ONE, (1, 0, 0): -ONE, (1, 0, 1): -ONE,
     })
     algebra = BiHomTrialgebra(
-        "cancelling", 2, left, MulTensor.zero(2), MulTensor.zero(2),
+        "cancelling", left, MulTensor.zero(2), MulTensor.zero(2),
         LinearMap.identity(2), LinearMap.identity(2),
     )
     c = left.c

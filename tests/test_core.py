@@ -78,7 +78,7 @@ def _perturbed_a21():
     # change the single middle product e2 _|_ e2 from e1 to e2
     middle = MulTensor.from_entries(2, {(1, 1, 1): ONE})
     return BiHomTrialgebra(
-        "perturbed", 2, A21.left, A21.right, middle, A21.alpha, A21.beta
+        "perturbed", A21.left, A21.right, middle, A21.alpha, A21.beta
     )
 
 
@@ -108,7 +108,7 @@ def test_identity_twists_always_multiplicative():
             for role in (LEFT, RIGHT, MIDDLE)
         }
         alg = BiHomTrialgebra(
-            "rand", 2, tensors[LEFT], tensors[RIGHT], tensors[MIDDLE],
+            "rand", tensors[LEFT], tensors[RIGHT], tensors[MIDDLE],
             LinearMap.identity(2), LinearMap.identity(2),
         )
         assert check_multiplicativity(alg).all_hold
@@ -116,7 +116,7 @@ def test_identity_twists_always_multiplicative():
 
 def test_non_endomorphism_witnessed_at_2_2():
     broken = BiHomTrialgebra(
-        "broken", 2, A21.left, A21.right, A21.middle,
+        "broken", A21.left, A21.right, A21.middle,
         LinearMap.unit(2, 1, 1),  # alpha(e2) = e2
         A21.beta,
     )
@@ -147,7 +147,7 @@ def _random_algebra(rng, dim=2):
             Matrix(dim, dim, [random_sparse_scalar(rng) for _ in range(dim * dim)])
         )
     return BiHomTrialgebra(
-        "rand", dim, tensors[LEFT], tensors[RIGHT], tensors[MIDDLE], rmap(), rmap()
+        "rand", tensors[LEFT], tensors[RIGHT], tensors[MIDDLE], rmap(), rmap()
     )
 
 
@@ -189,10 +189,10 @@ def _twin_algebras():
     """Two BiHomTrialgebras with different names, built separately from
     equal components: equality and the hash ignore the name."""
     def build(name):
-        left, right, middle = (MulTensor(2, [[list(r) for r in p] for p in t.c])
+        left, right, middle = (MulTensor([[list(r) for r in p] for p in t.c])
                                for t in A21.tensors())
         alpha, beta = (LinearMap.from_rows(f.matrix.row_list()) for f in (A21.alpha, A21.beta))
-        return BiHomTrialgebra(name, 2, left, right, middle, alpha, beta)
+        return BiHomTrialgebra(name, left, right, middle, alpha, beta)
     return build("one"), build("other")
 
 
@@ -203,12 +203,12 @@ VALUE_TWINS = {
     ),
     "LinearMap": lambda: (LinearMap(Matrix.identity(2)), LinearMap.from_rows([[1, 0], [0, 1]])),
     "MulTensor": lambda: (
-        MulTensor(2, [[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
+        MulTensor([[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
         MulTensor.from_entries(2, {(0, 0, 0): 1, (1, 1, 1): Fraction(2, 3)}),
     ),
     "BiHomTrialgebra": _twin_algebras,
     "BiHomAlgebra": lambda: tuple(
-        BiHomAlgebra("single", 2, A21.left, A21.alpha, A21.beta)
+        BiHomAlgebra("single", A21.left, A21.alpha, A21.beta)
         for _ in range(2)
     ),
 }

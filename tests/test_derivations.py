@@ -181,7 +181,7 @@ def test_canonical_basis_is_rref_of_kernel():
 def test_table_report_over_catalog():
     rows = [derivation_row(e) for e in map(catalog_get, catalog_list())]
     assert len(rows) == 31
-    by_id = {r.algebra: r for r in rows}
+    by_id = {r.space.algebra: r for r in rows}
     statuses = {r.status for r in rows}
     assert statuses == {"match", "mismatch", "paper-silent"}
     assert by_id["BTas_3^14"].status == "mismatch"

@@ -31,13 +31,13 @@ def test_first_entry_document_contents():
 
 def test_empty_products_dim_1_is_zero_algebra():
     algebra = parse_algebra('{"name": "z", "dim": 1, "alpha": [["0"]], "beta": [["0"]]}')
-    assert algebra == zero_algebra(1, "z").renamed("z")
+    assert algebra == zero_algebra(1).renamed("z")
     assert algebra.left.nonzero_entries() == []
 
 
 def test_missing_product_blocks_default_to_zero():
     algebra = parse_algebra('{"name": "z", "dim": 2}')
-    assert algebra == zero_algebra(2, "z").renamed("z")
+    assert algebra == zero_algebra(2).renamed("z")
 
 
 def test_round_trip_all_catalog_documents():

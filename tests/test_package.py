@@ -85,15 +85,15 @@ M23, M32 = Matrix.zeros(2, 3), Matrix.zeros(3, 2)
 
 
 @pytest.mark.parametrize("error, match, call", [
-    pytest.param(DimensionMismatch, "tensor is not 2x2x2",
-                 lambda: MulTensor(2, [[[0, 0], [0, 0]]]), id="MulTensor shape"),
+    pytest.param(DimensionMismatch, "tensor is not 1x1x1",
+                 lambda: MulTensor([[[0, 0], [0, 0]]]), id="MulTensor shape"),
     pytest.param(DimensionMismatch, "must be square", lambda: LinearMap(M23),
                  id="LinearMap non-square"),
     pytest.param(DimensionMismatch, "right tensor has dim 3",
-                 lambda: BiHomTrialgebra("x", 2, T2, T3, T2, I2, I2), id="BiHomTrialgebra tensor"),
+                 lambda: BiHomTrialgebra("x", T2, T3, T2, I2, I2), id="BiHomTrialgebra tensor"),
     pytest.param(DimensionMismatch, "twisting map",
-                 lambda: BiHomTrialgebra("x", 2, T2, T2, T2, I2, I3), id="BiHomTrialgebra twist"),
-    pytest.param(DimensionMismatch, "component", lambda: BiHomAlgebra("x", 2, T2, I2, I3),
+                 lambda: BiHomTrialgebra("x", T2, T2, T2, I2, I3), id="BiHomTrialgebra twist"),
+    pytest.param(DimensionMismatch, "component", lambda: BiHomAlgebra("x", T2, I2, I3),
                  id="BiHomAlgebra"),
     pytest.param(ValueError, "unknown product role", lambda: A2.tensor("bogus"),
                  id="tensor role"),

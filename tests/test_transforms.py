@@ -133,7 +133,7 @@ def test_conjugated_automorphisms():
 
 def test_untwist_identity_twists_is_identity():
     withid = BiHomTrialgebra(
-        "t", 2, A21.left, A21.right, A21.middle,
+        "t", A21.left, A21.right, A21.middle,
         LinearMap.identity(2), LinearMap.identity(2),
     )
     candidate, _ = untwist(withid)
@@ -233,7 +233,7 @@ def test_rb_identity_weight_minus_two():
 
 
 def _star_algebra(tensor_role_source, alpha, beta, name="star"):
-    return BiHomAlgebra(name, tensor_role_source.dim, tensor_role_source, alpha, beta)
+    return BiHomAlgebra(name, tensor_role_source, alpha, beta)
 
 
 def test_rb_induced_zero_product():
@@ -251,7 +251,7 @@ def test_rb_induced_zero_product():
 
 def test_rb_induced_from_example_left_product():
     ex = rota_baxter_example()
-    base = BiHomAlgebra("ex-left", 2, ex.left, ex.alpha, ex.beta)
+    base = BiHomAlgebra("ex-left", ex.left, ex.alpha, ex.beta)
     lam = Scalar(1)
     op = LinearMap(Matrix.identity(2).scale(-lam))
     ok, _ = rota_baxter_check_single(base, op, lam)
@@ -267,7 +267,7 @@ def test_rb_induced_from_example_left_product():
 
 def test_rb_induced_weight_zero_kills_middle():
     ex = rota_baxter_example()
-    base = BiHomAlgebra("ex-left", 2, ex.left, ex.alpha, ex.beta)
+    base = BiHomAlgebra("ex-left", ex.left, ex.alpha, ex.beta)
     result = rb_induced(base, LinearMap.zero(2), Scalar(0))
     assert all(
         vec_is_zero(result.algebra.middle.pair(i, j)) for i in range(2) for j in range(2)
@@ -278,7 +278,7 @@ def test_rb_induced_weight_zero_kills_middle():
 
 def test_swap_identity_twists():
     a = BiHomTrialgebra(
-        "id-twists", 2, A21.left, A21.right, A21.middle,
+        "id-twists", A21.left, A21.right, A21.middle,
         LinearMap.identity(2), LinearMap.identity(2),
     )
     result = swap_maps(a)
@@ -296,7 +296,7 @@ def test_swap_hypotheses_fail_on_nilpotent_twists():
 
 def test_swap_involution_case():
     a = BiHomTrialgebra(
-        "invol", 2,
+        "invol",
         MulTensor.zero(2), MulTensor.zero(2), MulTensor.zero(2),
         SWAP2, SWAP2,
     )
@@ -324,7 +324,7 @@ def test_sum_middle_right_positional_reading():
 
 def test_sum_middle_right_right_and_middle_zero():
     a = BiHomTrialgebra(
-        "left-only", 2, A21.left, MulTensor.zero(2), MulTensor.zero(2),
+        "left-only", A21.left, MulTensor.zero(2), MulTensor.zero(2),
         A21.alpha, A21.beta,
     )
     candidate, _ = sum_middle_right(a)
@@ -414,7 +414,7 @@ def test_averaging_detects_noncommuting_operator():
 def test_averaging_induced_identity_operators():
     # associative product: x.y from the total sum of a catalog entry
     mu = A21.left
-    b = BiHomAlgebra("b", 2, mu, LinearMap.identity(2), LinearMap.identity(2))
+    b = BiHomAlgebra("b", mu, LinearMap.identity(2), LinearMap.identity(2))
     candidate, report = averaging_induced(b)
     assert candidate.left.c == mu.c and candidate.right.c == mu.c and candidate.middle.c == mu.c
     del report
@@ -422,7 +422,7 @@ def test_averaging_induced_identity_operators():
 
 def test_averaging_induced_zero_operators():
     mu = A21.left
-    b = BiHomAlgebra("b", 2, mu, LinearMap.zero(2), LinearMap.zero(2))
+    b = BiHomAlgebra("b", mu, LinearMap.zero(2), LinearMap.zero(2))
     candidate, report = averaging_induced(b)
     assert all(
         vec_is_zero(candidate.tensor(role).pair(i, j))
@@ -434,7 +434,7 @@ def test_averaging_induced_zero_operators():
 def test_averaging_induced_precondition_failure():
     # xi(e1)=e2 on the left product of the example is not averaging
     mu = A21.left
-    b = BiHomAlgebra("b", 2, mu, LinearMap.unit(2, 1, 0), LinearMap.zero(2))
+    b = BiHomAlgebra("b", mu, LinearMap.unit(2, 1, 0), LinearMap.zero(2))
     with pytest.raises(PreconditionFailed) as err:
         averaging_induced(b)
     assert "alpha" in str(err.value)
@@ -452,7 +452,7 @@ def test_averaging_induced_idempotent_random_sweep():
         f = LinearMap.from_rows(
             [[diag_pool[rng.randint(0, 1)], ZERO], [ZERO, diag_pool[rng.randint(0, 1)]]]
         )
-        b = BiHomAlgebra("r", 2, mu, f, f)
+        b = BiHomAlgebra("r", mu, f, f)
         try:
             candidate, report = averaging_induced(b)
         except PreconditionFailed:
@@ -488,7 +488,7 @@ _ENDOMORPHISM_CHECKERS = {
     "is_centroid_element": lambda a, u: is_centroid_element(a, u),
     "rota_baxter_check": lambda a, u: rota_baxter_check(a, u, ZERO),
     "rota_baxter_check_single": lambda a, u: rota_baxter_check_single(
-        BiHomAlgebra("single", a.dim, a.left, a.alpha, a.beta), u, ZERO
+        BiHomAlgebra("single", a.left, a.alpha, a.beta), u, ZERO
     ),
     "averaging_check": lambda a, u: averaging_check(a, u),
 }

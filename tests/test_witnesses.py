@@ -30,7 +30,7 @@ from bihomtrias.transforms import (
 # both commutator identities and the BiHom-associativity of its left product.
 A = catalog_get("BTas_3^16").algebra
 U = LinearMap.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, -1]])  # commutes with neither twist
-SINGLE = BiHomAlgebra("left", A.dim, A.left, A.alpha, A.beta)
+SINGLE = BiHomAlgebra("left", A.left, A.alpha, A.beta)
 SWAP = LinearMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
