@@ -28,15 +28,8 @@ from .coordinate import coordinate_detail
 from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor, full_report, products_span
 from .derivations import derivation_space, is_derivation
 from .errors import UnknownId
-from .matrices import Matrix, rank
-from .reports import (
-    CentroidRow,
-    DerivationRow,
-    ErrataRecord,
-    dim_verdict,
-    map_to_strings,
-    published_unit_claims,
-)
+from .matrices import Matrix, in_span, rank
+from .reports import ErrataRecord, map_to_strings
 from .scalars import ONE, ZERO, Scalar
 from .transforms import rota_baxter_check
 
@@ -211,6 +204,146 @@ def distinguished_pair_counts(ids=None):
 
 # -- verification harness ----------------------------------------------------
 
+def dim_verdict(paper_dim, computed_dim) -> str:
+    """A published dimension against the recomputed one: paper-silent,
+    match or mismatch."""
+    if paper_dim is None:
+        return "paper-silent"
+    return "match" if paper_dim == computed_dim else "mismatch"
+
+
+@dataclass(frozen=True)
+class ClaimVerification:
+    """Outcome of re-verifying one published basis matrix."""
+
+    position: tuple  # (row, col), 1-based
+    passes: bool
+    transpose_passes: bool
+    in_computed_span: bool
+
+    @property
+    def label(self):
+        """1-based matrix-unit name, e.g. E21 for the unit at row 2, col 1."""
+        return "E{}{}".format(*self.position)
+
+    def to_dict(self):
+        return {
+            "label": self.label,
+            "position": list(self.position),
+            "passes": self.passes,
+            "transpose_passes": self.transpose_passes,
+            "in_computed_span": self.in_computed_span,
+        }
+
+
+@dataclass(frozen=True)
+class DerivationRow:
+    entry: CatalogEntry
+    space: object  # the recomputed DerivationSpace
+    claims: tuple  # ClaimVerification
+    errata: tuple  # ErrataRecord
+
+    @property
+    def paper_dim(self):
+        return self.entry.paper_der_dim
+
+    @property
+    def computed_dim(self):
+        return self.space.dim
+
+    @property
+    def status(self):
+        return dim_verdict(self.paper_dim, self.computed_dim)
+
+    def to_dict(self):
+        return {
+            "algebra": self.entry.id,
+            "computed_dim": self.computed_dim,
+            "paper_dim": self.paper_dim,
+            "status": self.status,
+            "basis": [map_to_strings(b) for b in self.space.basis],
+            "claims": [c.to_dict() for c in self.claims],
+            "errata": [e.to_dict() for e in self.errata],
+        }
+
+
+@dataclass(frozen=True)
+class CentroidRow:
+    entry: CatalogEntry
+    space: object  # the recomputed CentroidSpace
+    claims: tuple
+    errata: tuple
+
+    @property
+    def paper_dim(self):
+        return self.entry.paper_cent_dim
+
+    @property
+    def computed_dim(self):
+        return self.space.reported_dim
+
+    @property
+    def status(self):
+        return dim_verdict(self.paper_dim, self.computed_dim)
+
+    def to_dict(self):
+        space = self.space
+        return {
+            "algebra": self.entry.id,
+            "linear_dim": space.linear_dim,
+            "computed_dim": self.computed_dim,
+            "paper_dim": self.paper_dim,
+            "status": self.status,
+            "linear_basis": [map_to_strings(b) for b in space.linear_basis],
+            "subspace_basis": [map_to_strings(b) for b in space.subspace_basis],
+            "identically_zero": space.identically_zero,
+            "obstruction_too_large": space.obstruction_too_large,
+            "method": space.method,
+            "solution_description": space.solution_description,
+            "obstruction": [p.serialize() for p in space.obstruction],
+            "claims": [c.to_dict() for c in self.claims],
+            "errata": [e.to_dict() for e in self.errata],
+        }
+
+
+def published_unit_claims(entry, units, check, span_flats, kind, expected, recomputed):
+    """Re-verify each published matrix unit (q, p) and its transpose.
+
+    ``check(map)`` returns ``(ok, witnesses)``; ``span_flats`` spans the
+    recomputed space.  A failing unit becomes an errata record checked as
+    ``kind:E_qp`` with ``expected`` formatted on the label and the
+    ``recomputed`` fields after ``passes``/``transpose_passes``.
+    Returns ``(claims, errata)``.
+    """
+    dim = entry.algebra.dim
+    claims = []
+    errata = []
+    for (q, p) in units or ():
+        unit = LinearMap.unit(dim, q - 1, p - 1)
+        ok, wit = check(unit)
+        t_ok, _ = check(LinearMap.unit(dim, p - 1, q - 1))
+        claim = ClaimVerification((q, p), ok, t_ok, in_span(span_flats, list(unit.flatten())))
+        claims.append(claim)
+        if not ok:
+            errata.append(
+                ErrataRecord(
+                    entry.id,
+                    f"{kind}:{claim.label}",
+                    expected.format(claim.label),
+                    {"passes": False, "transpose_passes": t_ok, **recomputed},
+                    wit[0].to_list() if wit else None,
+                )
+            )
+    return tuple(claims), errata
+
+
+def _dim_errata(entry, kind, paper_dim, computed_dim, computed):
+    """The ``kind-dim`` errata record of a dimension mismatch, carrying ``computed``."""
+    if dim_verdict(paper_dim, computed_dim) != "mismatch":
+        return []
+    return [ErrataRecord(entry.id, f"{kind}-dim", f"published dim {paper_dim}", computed, None)]
+
+
 def derivation_row(entry: CatalogEntry) -> DerivationRow:
     """Recompute the derivation space, compare it with the published row,
     re-verify every published basis matrix; errata on any mismatch."""
@@ -221,11 +354,11 @@ def derivation_row(entry: CatalogEntry) -> DerivationRow:
         "recomputed_basis": [map_to_strings(b) for b in space.basis],
     }
     claims, errata = published_unit_claims(
-        entry.id, algebra.dim, entry.paper_der_units, lambda u: is_derivation(algebra, u),
+        entry, entry.paper_der_units, lambda u: is_derivation(algebra, u),
         space.flats(), "derivation-basis", "published basis matrix {} is a derivation", recomputed,
     )
-    status, dim_errata = dim_verdict(entry.id, "derivation", entry.paper_der_dim, space.dim, recomputed)
-    return DerivationRow(space, entry.paper_der_dim, status, claims, tuple(errata + dim_errata))
+    errata += _dim_errata(entry, "derivation", entry.paper_der_dim, space.dim, recomputed)
+    return DerivationRow(entry, space, claims, tuple(errata))
 
 
 def _centroid_row(entry: CatalogEntry) -> CentroidRow:
@@ -233,20 +366,20 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     space = centroid_space(algebra)
     subspace = [map_to_strings(b) for b in space.subspace_basis]
     claims, errata = published_unit_claims(
-        entry.id, algebra.dim, entry.paper_cent_units, lambda u: is_centroid_element(algebra, u),
+        entry, entry.paper_cent_units, lambda u: is_centroid_element(algebra, u),
         [list(b.flatten()) for b in space.subspace_basis],
         "centroid-basis", "published centroid matrix {} satisfies the definition",
         {"recomputed_dim": space.reported_dim, "recomputed_subspace": subspace},
     )
-    status, dim_errata = dim_verdict(
-        entry.id, "centroid", entry.paper_cent_dim, space.reported_dim,
+    errata += _dim_errata(
+        entry, "centroid", entry.paper_cent_dim, space.reported_dim,
         {
             "recomputed_dim": space.reported_dim,
             "linear_stage_dim": space.linear_dim,
             "recomputed_subspace": subspace,
         },
     )
-    return CentroidRow(space, entry.paper_cent_dim, status, claims, tuple(errata + dim_errata))
+    return CentroidRow(entry, space, claims, tuple(errata))
 
 
 @dataclass(frozen=True)
@@ -254,11 +387,11 @@ class EntryVerification:
     entry: str
     checks: tuple                 # (check_id, holds) over ALL_CHECK_IDS
     coordinate_agrees: bool
-    derivation: object            # DerivationRow
-    centroid: object              # CentroidRow
+    derivation: DerivationRow
+    centroid: CentroidRow
     ambiguity: tuple              # ErrataRecord
     candidate_profiles: tuple     # (label, all_axioms_hold)
-    errata: tuple                 # ErrataRecord (axioms + tables)
+    errata: tuple                 # ErrataRecord of the failing axioms
 
     @property
     def axioms_pass(self):

@@ -87,12 +87,10 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> tup
         if not rows:
             return tuple(unit_vec(n, i) for i in range(n))
         return tuple(nullspace(Matrix.from_rows(rows)))
-    m = len(h_vectors)
-    if m == 0:
+    if not h_vectors:
         return ()
     h_matrix = Matrix.from_rows(h_vectors)
-    sub_rows = [h_matrix.apply(row) for row in rows]
-    kernel = nullspace(Matrix.from_rows(sub_rows)) if sub_rows else [unit_vec(m, i) for i in range(m)]
+    kernel = nullspace(Matrix.from_rows([h_matrix.apply(row) for row in rows]))
     space = row_space(combination(coeffs, h_vectors) for coeffs in kernel)
     return tuple(space.row(r) for r in range(space.rows))
 
@@ -161,7 +159,6 @@ class QuadraticPoly:
 
 @dataclass(frozen=True)
 class CentroidSpace:
-    algebra: str
     linear_basis: tuple      # LinearMaps spanning the stage-1 linear space
     obstruction: tuple       # nonzero QuadraticPoly, deduplicated
     subspace_basis: tuple    # LinearMaps spanning the largest linear subspace found in
@@ -304,8 +301,6 @@ def _vanishing_subspace(polys, m):
 
     grams = []
     for p in polys:
-        if not p.quad:
-            continue
         g = [[p.polar(k_basis[a], k_basis[b]) for b in range(d)] for a in range(d)]
         if any(not g[a][b].is_zero for a in range(d) for b in range(d)):
             grams.append(g)
@@ -366,7 +361,7 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         basis_flats = [b.flatten() for b in basis]
         space = row_space(combination(pv, basis_flats) for pv in params)
         sub = tuple(LinearMap.from_flat(algebra.dim, row) for row in space.row_list())
-    return CentroidSpace(algebra.name, basis, polys, sub, desc, method)
+    return CentroidSpace(basis, polys, sub, desc, method)
 
 
 # -- central derivations ---------------------------------------------------

@@ -249,9 +249,9 @@ def per_algebra(fn):
     """Compute ``fn(algebra)`` once per algebra object and keep the result
     in the algebra's ``_memo`` for as long as the object lives.
 
-    The key is the object, not its value: equal algebras may carry
-    different names (see :meth:`BiHomTrialgebra.renamed`), and the cached
-    analyses record the name.  Only immutable results may be cached.
+    The key is the object, not its value, so the memo lives and dies with
+    its algebra: an equal algebra, such as a :meth:`BiHomTrialgebra.renamed`
+    copy, starts with an empty memo.  Only immutable results may be cached.
     """
     @wraps(fn)
     def cached(algebra):

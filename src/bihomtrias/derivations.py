@@ -109,7 +109,6 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    algebra: str
     basis: tuple  # LinearMaps, canonical kernel basis
 
     @property
@@ -125,5 +124,5 @@ def derivation_space(algebra: BiHomTrialgebra) -> DerivationSpace:
     """Canonical basis of the space of twisted derivations."""
     kernel = nullspace(derivation_system(algebra))
     basis = tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
-    return DerivationSpace(algebra.name, basis)
+    return DerivationSpace(basis)
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
 from bihomtrias.catalog import (
+    Fingerprint,
     catalog_get,
     catalog_list,
     catalog_verify,
@@ -14,7 +16,7 @@ from bihomtrias.catalog import (
     interaction_report,
     rota_baxter_example_report,
 )
-from bihomtrias.core import LinearMap
+from bihomtrias.core import ALL_CHECK_IDS, LinearMap
 from bihomtrias.documents import parse_algebra, serialize_algebra
 from bihomtrias.errors import DimensionMismatch, UnknownId
 from bihomtrias.matrices import Matrix, unit_vec, zero_vec
@@ -161,6 +163,20 @@ def test_distinguish_first_entries():
     fa = fingerprint(catalog_get("BTas_3^1").algebra)
     fb = fingerprint(catalog_get("BTas_3^2").algebra)
     assert (fa.der_dim, fb.der_dim) == (2, 1)
+    # to_dict: keys in field order, the profile as +/- in ALL_CHECK_IDS
+    # order, tuples as lists
+    assert list(fa.to_dict()) == [f.name for f in fields(Fingerprint)]
+    assert fa.to_dict() == {
+        "axiom_profile": ["+"] * len(ALL_CHECK_IDS),
+        "der_dim": 2,
+        "cent_linear_dim": 3,
+        "product_ranks": [1, 1, 1],
+        "twist_ranks": [1, 1],
+        "squared_dim": 1,
+    }
+    assert tuple(cid for cid, _ in fb.axiom_profile) == ALL_CHECK_IDS
+    profile = fb.to_dict()["axiom_profile"]
+    assert profile == ["+" if ok else "-" for _, ok in fb.axiom_profile] and "-" in profile
 
 
 def test_distinguish_self_inconclusive():

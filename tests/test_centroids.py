@@ -37,6 +37,9 @@ def test_centralizer_of_zero_generators():
     assert len(space) == 2  # whole space
     restricted = centralizer(a, [zero_vec(2)], restrict_to_h=True)
     assert restricted == ()  # span{0} = 0
+    # no generators: no condition on the whole space, and span{} = 0
+    assert centralizer(a, []) == (unit_vec(2, 0), unit_vec(2, 1))
+    assert centralizer(a, [], restrict_to_h=True) == ()
 
 
 def test_centralizer_zero_algebra_is_everything():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from bihomtrias.catalog import catalog_get, catalog_list, derivation_row
+from bihomtrias.centroids import centroid_space, is_centroid_element
 from bihomtrias.core import LinearMap, zero_algebra
 from bihomtrias.derivations import (
     derivation_space,
@@ -12,7 +13,7 @@ from bihomtrias.derivations import (
     twisted_leibniz_rows,
 )
 from bihomtrias.errors import DimensionMismatch
-from bihomtrias.matrices import Matrix, in_span, nullspace, rref
+from bihomtrias.matrices import Matrix, combination, in_span, nullspace, rref
 from bihomtrias.scalars import Scalar, format_scalar
 from bihomtrias.transforms import transport
 
@@ -105,6 +106,58 @@ def test_completeness_random_candidates_lie_in_span():
                 assert in_span(flats, list(cand.flatten())), name
 
 
+def in_kernel(algebra, m):
+    """Membership of ``m`` in the kernel of the derivation system."""
+    return in_span(derivation_space(algebra).flats(), list(m.flatten()))
+
+
+def test_kernel_membership_decides_the_suite_compositions():
+    """Every phi.d and d.phi that cent_der_property_suite forms over the
+    catalog lies in the kernel exactly when is_derivation accepts it."""
+    compositions = derivations = 0
+    for name in catalog_list():
+        a = catalog_get(name).algebra
+        for phi in centroid_space(a).subspace_basis:
+            if not is_centroid_element(a, phi)[0]:
+                continue
+            for d in derivation_space(a).basis:
+                for m in (phi.compose(d), d.compose(phi)):
+                    ok = is_derivation(a, m)[0]
+                    assert in_kernel(a, m) == ok, name
+                    compositions += 1
+                    derivations += ok
+    assert compositions == 88 and derivations == 88
+
+
+def test_kernel_membership_decides_maps_on_transports():
+    """On a seeded transport of each entry: random maps with entries in
+    [-1, 1], and a random combination of the transport's derivation basis."""
+    maps = derivations = 0
+    for name in catalog_list():
+        rng = seeded(f"der-kernel:{name}")
+        a = catalog_get(name).algebra
+        n = a.dim
+
+        def random_map():
+            return LinearMap(Matrix(n, n, [Scalar(rng.randint(-1, 1)) for _ in range(n * n)]))
+
+        psi = random_map()
+        while not psi.is_invertible():
+            psi = random_map()
+        moved = transport(a, psi)
+        candidates = [random_map() for _ in range(3)]
+        flats = derivation_space(moved).flats()
+        if flats:
+            coeffs = [Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in flats]
+            candidates.append(LinearMap.from_flat(n, combination(coeffs, flats)))
+        for m in candidates:
+            ok = is_derivation(moved, m)[0]
+            assert in_kernel(moved, m) == ok, name
+            maps += 1
+            derivations += ok
+    assert (maps, derivations) == (116, 23)
+
+
 def test_index_form_system_has_same_kernel():
     for name in catalog_list():
         a = catalog_get(name).algebra
@@ -181,7 +234,7 @@ def test_canonical_basis_is_rref_of_kernel():
 def test_table_report_over_catalog():
     rows = [derivation_row(e) for e in map(catalog_get, catalog_list())]
     assert len(rows) == 31
-    by_id = {r.space.algebra: r for r in rows}
+    by_id = {r.entry.id: r for r in rows}
     statuses = {r.status for r in rows}
     assert statuses == {"match", "mismatch", "paper-silent"}
     assert by_id["BTas_3^14"].status == "mismatch"
