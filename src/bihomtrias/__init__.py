@@ -28,7 +28,6 @@ from .centroids import (
 from .core import (
     AxiomReport,
     BiHomTrialgebra,
-    LinearMap,
     MulTensor,
     check_axioms,
     check_multiplicativity,

@@ -25,7 +25,7 @@ from .centroids import (
     is_centroid_element,
 )
 from .coordinate import coordinate_detail
-from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor, full_report, products_span
+from .core import ROLES, BiHomTrialgebra, MulTensor, full_report, products_span
 from .derivations import derivation_space, is_derivation
 from .errors import UnknownId
 from .matrices import Matrix, in_span, rank
@@ -43,13 +43,10 @@ def _tensor_from_spec(dim, spec):
 
 
 def _map_from_spec(dim, spec):
-    images = {}
-    for src, ks in (spec or {}).items():
-        col = [ZERO] * dim
-        for k in ks:
-            col[k - 1] = ONE
-        images[src - 1] = tuple(col)
-    return LinearMap.from_images(dim, images)
+    return Matrix.from_images(dim, {
+        src - 1: [ONE if k in ks else ZERO for k in range(1, dim + 1)]
+        for src, ks in (spec or {}).items()
+    })
 
 
 def _algebra_from_raw(name, raw, override=None):
@@ -169,7 +166,7 @@ def fingerprint(algebra: BiHomTrialgebra) -> Fingerprint:
         derivation_space(algebra).dim,
         len(centroid_linear_space(algebra)),
         tuple(product_ranks),
-        (rank(algebra.alpha.matrix), rank(algebra.beta.matrix)),
+        (rank(algebra.alpha), rank(algebra.beta)),
         rank(Matrix.from_rows(squared)) if squared else 0,
     )
 
@@ -319,10 +316,10 @@ def published_unit_claims(entry, units, check, span_flats, kind, expected, recom
     claims = []
     errata = []
     for (q, p) in units or ():
-        unit = LinearMap.unit(dim, q - 1, p - 1)
+        unit = Matrix.unit(dim, q - 1, p - 1)
         ok, wit = check(unit)
-        t_ok, _ = check(LinearMap.unit(dim, p - 1, q - 1))
-        claim = ClaimVerification((q, p), ok, t_ok, in_span(span_flats, list(unit.flatten())))
+        t_ok, _ = check(Matrix.unit(dim, p - 1, q - 1))
+        claim = ClaimVerification((q, p), ok, t_ok, in_span(span_flats, unit.entries))
         claims.append(claim)
         if not ok:
             errata.append(
@@ -367,7 +364,7 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     subspace = [map_to_strings(b) for b in space.subspace_basis]
     claims, errata = published_unit_claims(
         entry, entry.paper_cent_units, lambda u: is_centroid_element(algebra, u),
-        [list(b.flatten()) for b in space.subspace_basis],
+        [list(b.entries) for b in space.subspace_basis],
         "centroid-basis", "published centroid matrix {} satisfies the definition",
         {"recomputed_dim": space.reported_dim, "recomputed_subspace": subspace},
     )
@@ -384,7 +381,6 @@ def _centroid_row(entry: CatalogEntry) -> CentroidRow:
 
 @dataclass(frozen=True)
 class EntryVerification:
-    entry: str
     checks: tuple                 # (check_id, holds) over ALL_CHECK_IDS
     coordinate_agrees: bool
     derivation: DerivationRow
@@ -392,6 +388,11 @@ class EntryVerification:
     ambiguity: tuple              # ErrataRecord
     candidate_profiles: tuple     # (label, all_axioms_hold)
     errata: tuple                 # ErrataRecord of the failing axioms
+
+    @property
+    def entry(self) -> str:
+        """The entry id, read from the row's catalog entry."""
+        return self.derivation.entry.id
 
     @property
     def axioms_pass(self):
@@ -477,7 +478,6 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
             )
         )
     return EntryVerification(
-        entry.id,
         checks,
         coordinate_agrees,
         derivation_row(entry),
@@ -505,7 +505,7 @@ def rota_baxter_example_report():
     errata = []
     for w in (0, 1, -2):
         lam = Scalar(w)
-        op = LinearMap(Matrix.identity(algebra.dim).scale(-lam))
+        op = Matrix.identity(algebra.dim).scale(-lam)
         ok, witnesses = rota_baxter_check(algebra, op, lam)
         results.append({"weight": w, "holds": ok, "failing_pairs": len(witnesses)})
         if not ok:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .core import (
     ROLES,
     BiHomTrialgebra,
-    LinearMap,
     ab_images,
     basis_witnesses,
     per_algebra,
@@ -97,19 +96,22 @@ def centralizer(algebra: BiHomTrialgebra, h_vectors, restrict_to_h=False) -> tup
 
 # -- pointwise centroid verification --------------------------------------
 
-def is_centroid_element(algebra: BiHomTrialgebra, psi: LinearMap, right_chain="alpha-beta"):
+def is_centroid_element(algebra: BiHomTrialgebra, psi: Matrix, right_chain="alpha-beta"):
     """Check both equalities of each chain on all basis pairs.
 
     ``right_chain="literal"`` swaps the |- chain's first member to
     psi(x) |- alpha(psi(y)), the variant spelled in the published
-    definition; the default uses ab(y) like the other two products.
+    definition; the default ``"alpha-beta"`` uses ab(y) like the other two
+    products.  Any other value raises ValueError.
     """
+    if right_chain not in ("alpha-beta", "literal"):
+        raise ValueError(f"right_chain must be 'alpha-beta' or 'literal', got {right_chain!r}")
     if psi.dim != algebra.dim:
         raise DimensionMismatch("centroid candidate dimension mismatch")
     n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, psi)
     ab_img = ab_images(algebra)
-    psi_img = [psi.image_of_basis(i) for i in range(n)]
+    psi_img = [psi.col(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)
         if role == "right" and right_chain == "literal":
@@ -159,9 +161,9 @@ class QuadraticPoly:
 
 @dataclass(frozen=True)
 class CentroidSpace:
-    linear_basis: tuple      # LinearMaps spanning the stage-1 linear space
+    linear_basis: tuple      # maps (square Matrix values) spanning the stage-1 linear space
     obstruction: tuple       # nonzero QuadraticPoly, deduplicated
-    subspace_basis: tuple    # LinearMaps spanning the largest linear subspace found in
+    subspace_basis: tuple    # maps spanning the largest linear subspace found in
                              # the vanishing set; its length is the reported dim
     solution_description: str
     method: str              # full | linear-part-reduction | exact-conic | coordinate-search
@@ -183,14 +185,14 @@ class CentroidSpace:
         return self.linear_dim > 2 and not self.identically_zero
 
     def linear_flats(self):
-        return [list(b.flatten()) for b in self.linear_basis]
+        return [list(b.entries) for b in self.linear_basis]
 
 
 @per_algebra
 def centroid_linear_space(algebra: BiHomTrialgebra):
     """Stage 1: commutations plus the outer equality, as canonical maps."""
     kernel = nullspace(Matrix.from_rows(twisted_leibniz_rows(algebra, with_image=False)))
-    return tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
+    return tuple(Matrix(algebra.dim, algebra.dim, v) for v in kernel)
 
 
 def _obstruction_polys(algebra: BiHomTrialgebra):
@@ -200,7 +202,7 @@ def _obstruction_polys(algebra: BiHomTrialgebra):
     basis = centroid_linear_space(algebra)
     m = len(basis)
     ab_img = ab_images(algebra)
-    b_img = [[b.image_of_basis(i) for i in range(n)] for b in basis]
+    b_img = [[b.col(i) for i in range(n)] for b in basis]
     polys = {}
     for role in ROLES:
         t = algebra.tensor(role)
@@ -358,9 +360,9 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
         desc = "obstruction vanishes identically: the centroid is the full linear space"
     else:
         params, desc, method = _vanishing_subspace(polys, len(basis))
-        basis_flats = [b.flatten() for b in basis]
+        basis_flats = [b.entries for b in basis]
         space = row_space(combination(pv, basis_flats) for pv in params)
-        sub = tuple(LinearMap.from_flat(algebra.dim, row) for row in space.row_list())
+        sub = tuple(Matrix(algebra.dim, algebra.dim, row) for row in space.row_list())
     return CentroidSpace(basis, polys, sub, desc, method)
 
 
@@ -368,7 +370,7 @@ def centroid_space(algebra: BiHomTrialgebra) -> CentroidSpace:
 
 @dataclass(frozen=True)
 class CentralDerivations:
-    basis: tuple              # LinearMaps: image in Z(A), kernel contains A*A
+    basis: tuple              # maps: image in Z(A), kernel contains A*A
     cent_inter_der: tuple     # verified centroid subspace intersect Der
     stage1_inter_der: tuple   # stage-1 linear space intersect Der
     contains_intersection: bool  # span(cent_inter_der) lies in span(basis)
@@ -409,28 +411,28 @@ def central_derivations(algebra: BiHomTrialgebra) -> CentralDerivations:
     cross-checked against Cent intersect Der."""
     n = algebra.dim
     kernel = nullspace(_central_conditions(algebra))
-    basis = tuple(LinearMap.from_flat(n, v) for v in kernel)
+    basis = tuple(Matrix(n, n, v) for v in kernel)
 
     der = derivation_space(algebra)
     cent = centroid_space(algebra)
-    der_flats = [list(b.flatten()) for b in der.basis]
+    der_flats = der.flats()
     stage1_inter = span_intersection(der_flats, cent.linear_flats())
-    true_inter = span_intersection(
-        der_flats, [list(b.flatten()) for b in cent.subspace_basis]
-    )
+    true_inter = span_intersection(der_flats, [list(b.entries) for b in cent.subspace_basis])
     # both bases are independent, so span(true_inter) lies in span(kernel)
     # iff stacking them keeps the rank
     return CentralDerivations(
         basis,
-        tuple(LinearMap.from_flat(n, v) for v in true_inter),
-        tuple(LinearMap.from_flat(n, v) for v in stage1_inter),
+        tuple(Matrix(n, n, v) for v in true_inter),
+        tuple(Matrix(n, n, v) for v in stage1_inter),
         rank(Matrix.from_rows(kernel + true_inter)) == len(kernel),
     )
 
 
-def is_central_derivation(algebra: BiHomTrialgebra, psi: LinearMap) -> bool:
+def is_central_derivation(algebra: BiHomTrialgebra, psi: Matrix) -> bool:
     """Direct definition check: psi(A) inside Z_A(A) and psi(A*A) = 0."""
-    return vec_is_zero(_central_conditions(algebra).apply(psi.flatten()))
+    if psi.dim != algebra.dim:
+        raise DimensionMismatch("central derivation candidate dimension mismatch")
+    return vec_is_zero(_central_conditions(algebra).apply(psi.entries))
 
 
 # -- interaction property suite --------------------------------------------
@@ -481,9 +483,9 @@ def cent_der_property_suite(algebra: BiHomTrialgebra, entry_id=None) -> CentDerS
             )
             continue
         for di, dmap in enumerate(der.basis):
-            phi_d = phi.compose(dmap)
-            d_phi = dmap.compose(phi)
-            bracket = d_phi.sub(phi_d)
+            phi_d = phi @ dmap
+            d_phi = dmap @ phi
+            bracket = d_phi - phi_d
             phi_d_der = is_derivation(algebra, phi_d)[0]
             d_phi_cent = is_centroid_element(algebra, d_phi)[0]
             d_phi_der = is_derivation(algebra, d_phi)[0]

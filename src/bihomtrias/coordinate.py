@@ -115,8 +115,8 @@ def _table(terms):
 def coordinate_detail(algebra: BiHomTrialgebra):
     """Per-identity booleans, keyed like the evaluator-path report ids."""
     n = algebra.dim
-    a = [[algebra.alpha.matrix[r, c] for c in range(n)] for r in range(n)]
-    b = [[algebra.beta.matrix[r, c] for c in range(n)] for r in range(n)]
+    a = [[algebra.alpha[r, c] for c in range(n)] for r in range(n)]
+    b = [[algebra.beta[r, c] for c in range(n)] for r in range(n)]
 
     ok = True
     for i in range(n):

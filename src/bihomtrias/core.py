@@ -37,8 +37,8 @@ from functools import wraps
 from itertools import product
 
 from .errors import DimensionMismatch
-from .matrices import Matrix, Vector, inverse, rank, vec_is_zero, zero_vec
-from .scalars import ONE, ZERO, Scalar, format_scalar
+from .matrices import Matrix, Vector, vec_is_zero, zero_vec
+from .scalars import ZERO, Scalar, format_scalar
 
 LEFT = "left"
 RIGHT = "right"
@@ -121,84 +121,12 @@ class MulTensor:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class LinearMap:
-    """An n x n Scalar matrix; column i holds the image of e_i."""
-
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols:
-            raise DimensionMismatch("linear map matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    @staticmethod
-    def identity(dim: int) -> "LinearMap":
-        return LinearMap(Matrix.identity(dim))
-
-    @staticmethod
-    def zero(dim: int) -> "LinearMap":
-        return LinearMap(Matrix.zeros(dim, dim))
-
-    @staticmethod
-    def from_rows(rows) -> "LinearMap":
-        return LinearMap(Matrix.from_rows(rows))
-
-    @staticmethod
-    def unit(dim: int, row: int, col: int) -> "LinearMap":
-        """Matrix unit E (0-based): maps e_col to e_row, all else to 0."""
-        return LinearMap(
-            Matrix(
-                dim, dim,
-                [ONE if (r == row and c == col) else ZERO for r in range(dim) for c in range(dim)],
-            )
-        )
-
-    @staticmethod
-    def from_images(dim: int, images) -> "LinearMap":
-        """Build from a {source_index: image_vector} mapping, 0-based; unlisted images are 0."""
-        cols = {s: tuple(v) for s, v in images.items()}
-        ent = []
-        for r in range(dim):
-            for c in range(dim):
-                ent.append(cols[c][r] if c in cols else ZERO)
-        return LinearMap(Matrix(dim, dim, ent))
-
-    def apply(self, x: Vector) -> Vector:
-        return self.matrix.apply(x)
-
-    def image_of_basis(self, i: int) -> Vector:
-        return self.matrix.col(i)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        return LinearMap(self.matrix @ other.matrix)
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix + other.matrix)
-
-    def sub(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix - other.matrix)
-
-    def scale(self, c) -> "LinearMap":
-        return LinearMap(self.matrix.scale(c))
-
-    def inverse(self) -> "LinearMap":
-        return LinearMap(inverse(self.matrix))
-
-    def is_invertible(self) -> bool:
-        return rank(self.matrix) == self.dim
-
-    def flatten(self) -> Vector:
-        """Row-major flattening, matching the d_qp / c_qp unknown ordering."""
-        return self.matrix.entries
-
-    @staticmethod
-    def from_flat(dim: int, flat) -> "LinearMap":
-        return LinearMap(Matrix(dim, dim, list(flat)))
+def LinearMap(matrix: Matrix) -> Matrix:
+    """``matrix`` itself, once its ``dim`` has rejected a non-square one.
+    Only ``perfbench/workloads.py`` builds maps through this name; ROADMAP
+    item 1 calls ``Matrix`` there and deletes it."""
+    matrix.dim
+    return matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +144,8 @@ class BiHomTrialgebra:
     left: MulTensor
     right: MulTensor
     middle: MulTensor
-    alpha: LinearMap
-    beta: LinearMap
+    alpha: Matrix
+    beta: Matrix
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -265,16 +193,16 @@ def per_algebra(fn):
 
 def ab_images(algebra: BiHomTrialgebra):
     """The images alpha(beta(e_i)) of the basis vectors, in basis order."""
-    ab = algebra.alpha.compose(algebra.beta)
-    return tuple(ab.image_of_basis(i) for i in range(algebra.dim))
+    ab = algebra.alpha @ algebra.beta
+    return tuple(ab.col(i) for i in range(algebra.dim))
 
 
 def zero_algebra(dim: int) -> BiHomTrialgebra:
     z = MulTensor.zero(dim)
-    return BiHomTrialgebra("zero", z, z, z, LinearMap.zero(dim), LinearMap.zero(dim))
+    return BiHomTrialgebra("zero", z, z, z, Matrix.zeros(dim, dim), Matrix.zeros(dim, dim))
 
 
-def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
+def twist_commutation_witnesses(algebra, u: Matrix, target=None):
     """Basis vectors on which u . f != g . u for the twist pairs (f, g).
 
     ``g`` is the matching twist of ``target`` (default: ``algebra`` itself,
@@ -284,7 +212,7 @@ def twist_commutation_witnesses(algebra, u: LinearMap, target=None):
     target = algebra if target is None else target
     witnesses = []
     for name, f, g in (("alpha", algebra.alpha, target.alpha), ("beta", algebra.beta, target.beta)):
-        lhs, rhs = u.compose(f).image_of_basis, g.compose(u).image_of_basis
+        lhs, rhs = (u @ f).col, (g @ u).col
         witnesses += basis_witnesses(u.dim, 1, (f"commute-{name}", lhs, rhs))
     return witnesses
 
@@ -383,8 +311,8 @@ def _axiom_result(n, arity, identity):
 def check_axioms(algebra: BiHomTrialgebra) -> AxiomReport:
     """Check C0 and the nine product-axiom families over all basis triples."""
     n = algebra.dim
-    alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
-    beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
+    alpha_img = [algebra.alpha.col(i) for i in range(n)]
+    beta_img = [algebra.beta.col(i) for i in range(n)]
 
     def side(kind, inner, outer):
         t_in, t_out = algebra.tensor(inner), algebra.tensor(outer)
@@ -405,7 +333,7 @@ def check_multiplicativity(algebra: BiHomTrialgebra) -> AxiomReport:
 
     def identity(cid, role, map_name):
         f, t = getattr(algebra, map_name), algebra.tensor(role)
-        img = [f.image_of_basis(i) for i in range(n)]
+        img = [f.col(i) for i in range(n)]
         return (cid, lambda i, j: f.apply(t.pair(i, j)), lambda i, j: t.bilinear(img[i], img[j]))
 
     # M1..M6: alpha, then beta, as endomorphisms of -|, |- and _|_ in turn

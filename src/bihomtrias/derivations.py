@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .core import (
     ROLES,
     BiHomTrialgebra,
-    LinearMap,
     ab_images,
     basis_witnesses,
     per_algebra,
@@ -30,14 +29,14 @@ from .matrices import Matrix, nullspace, unit_vec, vec_add
 from .scalars import ZERO
 
 
-def is_derivation(algebra: BiHomTrialgebra, d: LinearMap):
+def is_derivation(algebra: BiHomTrialgebra, d: Matrix):
     """Check commutation with the twists and the three twisted Leibniz rules."""
     if d.dim != algebra.dim:
         raise DimensionMismatch("derivation candidate dimension mismatch")
     n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, d)
     ab_img = ab_images(algebra)
-    d_img = [d.image_of_basis(i) for i in range(n)]
+    d_img = [d.col(i) for i in range(n)]
     for role in ROLES:
         t = algebra.tensor(role)
         witnesses += basis_witnesses(n, 2, (
@@ -48,17 +47,16 @@ def is_derivation(algebra: BiHomTrialgebra, d: LinearMap):
     return not witnesses, tuple(witnesses)
 
 
-def map_commutation_rows(f: LinearMap):
+def map_commutation_rows(f: Matrix):
     """Rows expressing u.f = f.u for an unknown map u (flattened (q, p) row-major)."""
     n = f.dim
-    m = f.matrix
     rows = []
     for p in range(n):
         for r in range(n):
             row = [ZERO] * (n * n)
             for q in range(n):
-                row[q * n + p] = row[q * n + p] + m[r, q]
-                row[r * n + q] = row[r * n + q] - m[q, p]
+                row[q * n + p] = row[q * n + p] + f[r, q]
+                row[r * n + q] = row[r * n + q] - f[q, p]
             rows.append(row)
     return rows
 
@@ -109,20 +107,20 @@ def derivation_system(algebra: BiHomTrialgebra) -> Matrix:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    basis: tuple  # LinearMaps, canonical kernel basis
+    basis: tuple  # square Matrix values, canonical kernel basis
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def flats(self):
-        return [list(b.flatten()) for b in self.basis]
+        return [list(b.entries) for b in self.basis]
 
 
 @per_algebra
 def derivation_space(algebra: BiHomTrialgebra) -> DerivationSpace:
     """Canonical basis of the space of twisted derivations."""
     kernel = nullspace(derivation_system(algebra))
-    basis = tuple(LinearMap.from_flat(algebra.dim, v) for v in kernel)
+    basis = tuple(Matrix(algebra.dim, algebra.dim, v) for v in kernel)
     return DerivationSpace(basis)
 

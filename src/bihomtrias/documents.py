@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 
-from .core import ROLES, BiHomTrialgebra, LinearMap, MulTensor
+from .core import ROLES, BiHomTrialgebra, MulTensor
 from .errors import DimensionError, ParseError
 from .matrices import Matrix
 from .reports import map_to_strings
@@ -85,7 +85,7 @@ def _parse_map(rows, dim, key):
     for r, row in enumerate(rows):
         for c, cell in enumerate(row):
             entries.append(parse_scalar(cell, f"{key}[{r}][{c}]"))
-    return LinearMap(Matrix(dim, dim, entries))
+    return Matrix(dim, dim, entries)
 
 
 def document_to_algebra(doc: dict) -> BiHomTrialgebra:
@@ -105,8 +105,8 @@ def document_to_algebra(doc: dict) -> BiHomTrialgebra:
         raise ParseError("dim must be a positive integer", "dim")
     _check_dim(dim)
     tensors = [_parse_tensor(doc.get(role, []), dim, role) for role in ROLES]
-    alpha = _parse_map(doc["alpha"], dim, "alpha") if "alpha" in doc else LinearMap.zero(dim)
-    beta = _parse_map(doc["beta"], dim, "beta") if "beta" in doc else LinearMap.zero(dim)
+    alpha = _parse_map(doc["alpha"], dim, "alpha") if "alpha" in doc else Matrix.zeros(dim, dim)
+    beta = _parse_map(doc["beta"], dim, "beta") if "beta" in doc else Matrix.zeros(dim, dim)
     return BiHomTrialgebra(name, *tensors, alpha, beta)
 
 
@@ -126,11 +126,14 @@ def algebra_to_document(algebra: BiHomTrialgebra) -> dict:
 
 
 def _load_json(text):
-    """Decode JSON text; ParseError when it is malformed or nested too deeply."""
+    """Decode JSON text; ParseError when it is malformed, holds an integer
+    beyond Python's digit limit, or is nested too deeply."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}") from None
+    except ValueError:
+        raise ParseError("invalid JSON: an integer has too many digits") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 
@@ -145,7 +148,7 @@ def serialize_algebra(algebra: BiHomTrialgebra) -> str:
     return json.dumps(algebra_to_document(algebra), indent=2) + "\n"
 
 
-def parse_operator(text: str, expected_dim: int | None = None) -> LinearMap:
+def parse_operator(text: str, expected_dim: int | None = None) -> Matrix:
     """Parse an operator document (dim x dim array of scalar strings); the
     dim is checked against MAX_DIM and ``expected_dim`` before any cell is
     parsed."""
@@ -159,5 +162,5 @@ def parse_operator(text: str, expected_dim: int | None = None) -> LinearMap:
     return _parse_map(rows, dim, "operator")
 
 
-def serialize_operator(op: LinearMap) -> str:
+def serialize_operator(op: Matrix) -> str:
     return json.dumps(map_to_strings(op), indent=2) + "\n"

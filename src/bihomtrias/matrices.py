@@ -54,7 +54,8 @@ def vec_is_zero(x: Vector) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
-    """Immutable dense matrix of Scalars, row-major."""
+    """Immutable dense matrix of Scalars, row-major.  A linear map is a
+    square matrix whose column i holds the image of e_i."""
 
     rows: int
     cols: int
@@ -88,6 +89,26 @@ class Matrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [ZERO] * (rows * cols))
+
+    @staticmethod
+    def from_images(dim: int, images) -> "Matrix":
+        """The map sending e_c to images[c] (0-based); unlisted images are 0."""
+        cols = [images.get(c, zero_vec(dim)) for c in range(dim)]
+        return Matrix(dim, dim, [cols[c][r] for r in range(dim) for c in range(dim)])
+
+    @staticmethod
+    def unit(dim: int, row: int, col: int) -> "Matrix":
+        """Matrix unit E (0-based): maps e_col to e_row, all else to 0."""
+        entries = [ZERO] * (dim * dim)
+        entries[row * dim + col] = ONE
+        return Matrix(dim, dim, entries)
+
+    @property
+    def dim(self) -> int:
+        """The dimension a square matrix maps; DimensionMismatch otherwise."""
+        if self.rows != self.cols:
+            raise DimensionMismatch(f"a linear map must be square, got {self.rows}x{self.cols}")
+        return self.rows
 
     # -- access -------------------------------------------------------
 

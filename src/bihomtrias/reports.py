@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LinearMap
+from .matrices import Matrix
 from .scalars import format_scalar
 
 
-def map_to_strings(m: LinearMap):
-    return [
-        [format_scalar(m.matrix[r, c]) for c in range(m.dim)] for r in range(m.dim)
-    ]
+def map_to_strings(m: Matrix):
+    n = m.dim
+    return [[format_scalar(m[r, c]) for c in range(n)] for r in range(n)]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .core import (
     ROLES,
     AxiomReport,
     BiHomTrialgebra,
-    LinearMap,
     MulTensor,
     ab_images,
     basis_witnesses,
@@ -24,7 +23,7 @@ from .core import (
     twist_commutation_witnesses,
 )
 from .errors import DimensionMismatch, PreconditionFailed
-from .matrices import unit_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .matrices import Matrix, inverse, rank, unit_vec, vec_add, vec_scale, vec_sub, zero_vec
 from .scalars import Scalar
 
 
@@ -36,8 +35,8 @@ class BiHomAlgebra:
     name: str
     dim: int = field(init=False)
     mu: MulTensor
-    alpha: LinearMap
-    beta: LinearMap
+    alpha: Matrix
+    beta: Matrix
 
     def __post_init__(self):
         dim = self.mu.dim
@@ -50,13 +49,13 @@ def _tensor_from_pairs(dim, pair_fn) -> MulTensor:
     return MulTensor([[list(pair_fn(i, j)) for j in range(dim)] for i in range(dim)])
 
 
-def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
+def is_morphism(psi: Matrix, a: BiHomTrialgebra, b: BiHomTrialgebra):
     """Check psi : a -> b intertwines the twists and all three products;
     returns ``(holds, witnesses)``, commute-alpha/commute-beta first."""
     if psi.dim != a.dim or a.dim != b.dim:
         raise DimensionMismatch("morphism endpoints must share the map's dimension")
     witnesses = twist_commutation_witnesses(a, psi, target=b)
-    img = [psi.image_of_basis(i) for i in range(a.dim)]
+    img = [psi.col(i) for i in range(a.dim)]
     for role in ROLES:
         ta, tb = a.tensor(role), b.tensor(role)
         witnesses += basis_witnesses(a.dim, 2, (
@@ -65,13 +64,13 @@ def is_morphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra):
     return not witnesses, tuple(witnesses)
 
 
-def is_isomorphism(psi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
+def is_isomorphism(psi: Matrix, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
     """An invertible morphism; endpoints of another dimension raise
     DimensionMismatch whatever the map."""
-    return is_morphism(psi, a, b)[0] and psi.is_invertible()
+    return is_morphism(psi, a, b)[0] and rank(psi) == psi.rows
 
 
-def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
+def transport(algebra: BiHomTrialgebra, psi: Matrix) -> BiHomTrialgebra:
     """Conjugate products and twists by an invertible map.
 
     Products become psi . (*) . (psi^-1 x psi^-1) and the twists
@@ -80,9 +79,9 @@ def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
     """
     if psi.dim != algebra.dim:
         raise DimensionMismatch("transport map dimension mismatch")
-    inv = psi.inverse()  # raises SingularMatrix when not invertible
+    inv = inverse(psi)  # raises SingularMatrix when not invertible
     n = algebra.dim
-    inv_cols = [inv.image_of_basis(i) for i in range(n)]
+    inv_cols = [inv.col(i) for i in range(n)]
 
     def conjugated(tensor):
         def pair(i, j):
@@ -93,13 +92,13 @@ def transport(algebra: BiHomTrialgebra, psi: LinearMap) -> BiHomTrialgebra:
     return BiHomTrialgebra(
         f"{algebra.name}~transport",
         *(_tensor_from_pairs(n, conjugated(t)) for t in algebra.tensors()),
-        psi.compose(algebra.alpha).compose(inv),
-        psi.compose(algebra.beta).compose(inv),
+        psi @ algebra.alpha @ inv,
+        psi @ algebra.beta @ inv,
     )
 
 
 def conjugate_automorphism_check(
-    algebra: BiHomTrialgebra, psi: LinearMap, phi: LinearMap
+    algebra: BiHomTrialgebra, psi: Matrix, phi: Matrix
 ) -> bool:
     """Whether psi phi psi^-1 is an automorphism of transport(algebra, psi).
 
@@ -108,7 +107,7 @@ def conjugate_automorphism_check(
     if not is_isomorphism(phi, algebra, algebra):
         raise PreconditionFailed("phi is not an automorphism of the input algebra")
     moved = transport(algebra, psi)
-    conj = psi.compose(phi).compose(psi.inverse())
+    conj = psi @ phi @ inverse(psi)
     return is_isomorphism(conj, moved, moved)
 
 
@@ -118,11 +117,11 @@ def untwist(algebra: BiHomTrialgebra):
     Raises SingularMatrix when alpha or beta is not invertible.  Returns
     the candidate together with its axiom report (identity-twist axioms).
     """
-    inv_a = algebra.alpha.inverse()
-    inv_b = algebra.beta.inverse()
+    inv_a = inverse(algebra.alpha)
+    inv_b = inverse(algebra.beta)
     n = algebra.dim
-    a_cols = [inv_a.image_of_basis(i) for i in range(n)]
-    b_cols = [inv_b.image_of_basis(i) for i in range(n)]
+    a_cols = [inv_a.col(i) for i in range(n)]
+    b_cols = [inv_b.col(i) for i in range(n)]
 
     def untwisted(tensor):
         return lambda i, j: tensor.bilinear(a_cols[i], b_cols[j])
@@ -130,8 +129,8 @@ def untwist(algebra: BiHomTrialgebra):
     candidate = BiHomTrialgebra(
         f"{algebra.name}~untwist",
         *(_tensor_from_pairs(n, untwisted(t)) for t in algebra.tensors()),
-        LinearMap.identity(n),
-        LinearMap.identity(n),
+        Matrix.identity(n),
+        Matrix.identity(n),
     )
     return candidate, check_axioms(candidate)
 
@@ -152,10 +151,10 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
         return _tensor_from_pairs(n, pair)
 
     def block_map(fa, fb):
-        images = {i: fa.image_of_basis(i) + zero_vec(nb) for i in range(na)}
+        images = {i: fa.col(i) + zero_vec(nb) for i in range(na)}
         for i in range(nb):
-            images[na + i] = zero_vec(na) + fb.image_of_basis(i)
-        return LinearMap.from_images(n, images)
+            images[na + i] = zero_vec(na) + fb.col(i)
+        return Matrix.from_images(n, images)
 
     return BiHomTrialgebra(
         f"{a.name}(+){b.name}",
@@ -165,7 +164,7 @@ def direct_sum(a: BiHomTrialgebra, b: BiHomTrialgebra) -> BiHomTrialgebra:
     )
 
 
-def graph_subalgebra_check(xi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
+def graph_subalgebra_check(xi: Matrix, a: BiHomTrialgebra, b: BiHomTrialgebra) -> bool:
     """Whether the graph of xi is closed in a (+) b under products and twists.
 
     Membership of (x, y) in the graph means y = xi(x); checked on the
@@ -196,14 +195,14 @@ def graph_subalgebra_check(xi: LinearMap, a: BiHomTrialgebra, b: BiHomTrialgebra
 
 # -- Rota-Baxter operators ----------------------------------------------
 
-def _rota_baxter_witnesses(algebra, r: LinearMap, lam: Scalar, identities):
+def _rota_baxter_witnesses(algebra, r: Matrix, lam: Scalar, identities):
     """Twist commutation, then R(x) o R(y) = R(R(x) p y + x p R(y) + w x p y)
     on basis pairs for each ``(check, o, p)`` of outer and inner products."""
     if r.dim != algebra.dim:
         raise DimensionMismatch("operator dimension mismatch")
     n = algebra.dim
     witnesses = twist_commutation_witnesses(algebra, r)
-    r_img = [r.image_of_basis(i) for i in range(n)]
+    r_img = [r.col(i) for i in range(n)]
     e = [unit_vec(n, i) for i in range(n)]
     for check, outer, inner in identities:
         def lhs(i, j):
@@ -217,7 +216,7 @@ def _rota_baxter_witnesses(algebra, r: LinearMap, lam: Scalar, identities):
     return not witnesses, tuple(witnesses)
 
 
-def rota_baxter_check(algebra: BiHomTrialgebra, op: LinearMap, weight: Scalar):
+def rota_baxter_check(algebra: BiHomTrialgebra, op: Matrix, weight: Scalar):
     """Verify the Rota-Baxter identities of weight ``weight`` for the
     candidate ``op`` on all basis pairs.
 
@@ -231,7 +230,7 @@ def rota_baxter_check(algebra: BiHomTrialgebra, op: LinearMap, weight: Scalar):
     ))
 
 
-def rota_baxter_check_single(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar):
+def rota_baxter_check_single(algebra: BiHomAlgebra, op: Matrix, weight: Scalar):
     """Single-product Rota-Baxter identity R(x)*R(y) = R(R(x)*y + x*R(y) + w x*y)."""
     return _rota_baxter_witnesses(
         algebra, op, weight, (("rb-single", algebra.mu, algebra.mu),)
@@ -249,7 +248,7 @@ class RBInducedResult:
         return not self.precondition_witnesses
 
 
-def rb_induced(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar) -> RBInducedResult:
+def rb_induced(algebra: BiHomAlgebra, op: Matrix, weight: Scalar) -> RBInducedResult:
     """Induce x -| y = x*R(y), x |- y = R(x)*y, x _|_ y = w(x*y).
 
     The single-product Rota-Baxter identity is the stated hypothesis; it
@@ -259,7 +258,7 @@ def rb_induced(algebra: BiHomAlgebra, op: LinearMap, weight: Scalar) -> RBInduce
     _, pre_wit = rota_baxter_check_single(algebra, op, weight)
     n = algebra.dim
     mu = algebra.mu
-    r_img = [op.image_of_basis(i) for i in range(n)]
+    r_img = [op.col(i) for i in range(n)]
 
     left = _tensor_from_pairs(n, lambda i, j: mu.bilinear(unit_vec(n, i), r_img[j]))
     right = _tensor_from_pairs(n, lambda i, j: mu.bilinear(r_img[i], unit_vec(n, j)))
@@ -298,13 +297,13 @@ def swap_maps(algebra: BiHomTrialgebra) -> SwapResult:
         algebra.beta,
         algebra.alpha,
     )
-    ident = LinearMap.identity(algebra.dim)
+    ident = Matrix.identity(algebra.dim)
     a, b = algebra.alpha, algebra.beta
     hypotheses = {
-        "alpha_squared_is_id": a.compose(a) == ident,
-        "beta_squared_is_id": b.compose(b) == ident,
-        "alpha_beta_is_id": a.compose(b) == ident,
-        "beta_alpha_is_id": b.compose(a) == ident,
+        "alpha_squared_is_id": a @ a == ident,
+        "beta_squared_is_id": b @ b == ident,
+        "alpha_beta_is_id": a @ b == ident,
+        "beta_alpha_is_id": b @ a == ident,
     }
     iso = is_morphism(ident, algebra, swapped)[0] if all(hypotheses.values()) else None
     return SwapResult(swapped, hypotheses, iso)
@@ -349,8 +348,8 @@ def commutator_construct(algebra: BiHomTrialgebra) -> CommutatorReport:
     bracket = _tensor_from_pairs(
         n, lambda i, j: vec_sub(algebra.middle.pair(i, j), algebra.middle.pair(j, i))
     )
-    alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
-    beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
+    alpha_img = [algebra.alpha.col(i) for i in range(n)]
+    beta_img = [algebra.beta.col(i) for i in range(n)]
 
     def rhs(i, j, k):
         return vec_add(
@@ -376,8 +375,8 @@ def bihom_associativity_witnesses(algebra: BiHomAlgebra):
     """Failing triples of (x*y)*b(z) = a(x)*(y*z)."""
     n = algebra.dim
     mu = algebra.mu
-    alpha_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
-    beta_img = [algebra.beta.image_of_basis(i) for i in range(n)]
+    alpha_img = [algebra.alpha.col(i) for i in range(n)]
+    beta_img = [algebra.beta.col(i) for i in range(n)]
     return tuple(basis_witnesses(n, 3, (
         "bihom-associativity",
         lambda i, j, k: mu.bilinear(mu.pair(i, j), beta_img[k]),
@@ -400,11 +399,11 @@ def total_sum(algebra: BiHomTrialgebra):
     return candidate, bihom_associativity_witnesses(candidate)
 
 
-def _averaging_witnesses(t: MulTensor, f: LinearMap, prefix=""):
+def _averaging_witnesses(t: MulTensor, f: Matrix, prefix=""):
     """Lazily, the basis pairs failing f(f(x)*y) = f(x)*f(y) (``first``) or
     f(x)*f(y) = f(x*f(y)) (``second``) under the product t."""
     n = t.dim
-    img = [f.image_of_basis(i) for i in range(n)]
+    img = [f.col(i) for i in range(n)]
     e = [unit_vec(n, i) for i in range(n)]
     middle = [[t.bilinear(img[i], img[j]) for j in range(n)] for i in range(n)]
 
@@ -418,7 +417,7 @@ def _averaging_witnesses(t: MulTensor, f: LinearMap, prefix=""):
     )
 
 
-def averaging_check(algebra: BiHomTrialgebra, xi: LinearMap):
+def averaging_check(algebra: BiHomTrialgebra, xi: Matrix):
     """xi(xi(x)*y) = xi(x)*xi(y) = xi(x*xi(y)) on basis pairs, all products,
     plus commutation with the twists."""
     if xi.dim != algebra.dim:
@@ -444,8 +443,8 @@ def averaging_induced(algebra: BiHomAlgebra) -> tuple:
             )
     n = algebra.dim
     mu = algebra.mu
-    a_img = [algebra.alpha.image_of_basis(i) for i in range(n)]
-    b_img = [algebra.beta.image_of_basis(i) for i in range(n)]
+    a_img = [algebra.alpha.col(i) for i in range(n)]
+    b_img = [algebra.beta.col(i) for i in range(n)]
     candidate = BiHomTrialgebra(
         f"{algebra.name}~avg",
         _tensor_from_pairs(n, lambda i, j: mu.bilinear(a_img[i], unit_vec(n, j))),

@@ -12,7 +12,7 @@ code, kept as the reference that the sparse side tables must reproduce.
 import random
 from fractions import Fraction
 
-from bihomtrias.core import ROLES, BiHomTrialgebra, LinearMap, MulTensor
+from bihomtrias.core import ROLES, BiHomTrialgebra, MulTensor
 from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import ZERO, Scalar
 
@@ -77,7 +77,7 @@ def random_dense_algebra(rng, dim):
                           for _ in range(dim)])
 
     def twist():
-        return LinearMap(Matrix(dim, dim, [scalar() for _ in range(dim * dim)]))
+        return Matrix(dim, dim, [scalar() for _ in range(dim * dim)])
 
     return BiHomTrialgebra("dense", *(tensor() for _ in ROLES), twist(), twist())
 
@@ -90,8 +90,8 @@ def derivation_system_indexform(algebra) -> Matrix:
     composed-map shortcut).
     """
     n = algebra.dim
-    a = [[algebra.alpha.matrix[r, c] for c in range(n)] for r in range(n)]
-    b = [[algebra.beta.matrix[r, c] for c in range(n)] for r in range(n)]
+    a = [[algebra.alpha[r, c] for c in range(n)] for r in range(n)]
+    b = [[algebra.beta[r, c] for c in range(n)] for r in range(n)]
     rows = []
     for mat in (a, b):
         for k in range(n):
@@ -142,8 +142,8 @@ def _raw(algebra):
     gamma = algebra.left.c
     delta = algebra.right.c
     xi = algebra.middle.c
-    a = [[algebra.alpha.matrix[r, c] for c in range(n)] for r in range(n)]
-    b = [[algebra.beta.matrix[r, c] for c in range(n)] for r in range(n)]
+    a = [[algebra.alpha[r, c] for c in range(n)] for r in range(n)]
+    b = [[algebra.beta[r, c] for c in range(n)] for r in range(n)]
     return n, gamma, delta, xi, a, b
 
 

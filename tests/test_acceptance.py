@@ -22,7 +22,7 @@ from bihomtrias.catalog import (
     rota_baxter_example_report,
 )
 from bihomtrias.centroids import centroid_space, is_centroid_element
-from bihomtrias.core import LinearMap, full_report
+from bihomtrias.core import full_report
 from bihomtrias.derivations import derivation_space
 from bihomtrias.errors import SingularMatrix
 from bihomtrias.matrices import Matrix, in_span, inverse, nullspace, rank, vec_is_zero
@@ -49,14 +49,14 @@ def criterion(number, summary_parts):
 
 
 def unit(n, q, p):
-    return LinearMap.unit(n, q - 1, p - 1)
+    return Matrix.unit(n, q - 1, p - 1)
 
 
 def rand_invertible(rng, n, lo=-1, hi=1):
     while True:
         m = Matrix(n, n, [Scalar(rng.randint(lo, hi)) for _ in range(n * n)])
         if rank(m) == n:
-            return LinearMap(m)
+            return m
 
 
 @pytest.mark.usefixtures("cold_catalog")
@@ -153,7 +153,7 @@ def test_criterion_2_derivation_tables():
             for claim in row.claims:
                 q, p = claim.position
                 assert claim.transpose_passes == in_span(
-                    row.space.flats(), unit(n, p, q).flatten()
+                    row.space.flats(), unit(n, p, q).entries
                 ), (name, claim.label)
                 if claim.passes:
                     verified += 1
@@ -311,9 +311,7 @@ def test_criterion_4_construction_property_suites():
             for b_id in two_dim:
                 a, b = catalog_get(a_id).algebra, catalog_get(b_id).algebra
                 for _ in range(50):
-                    xi = LinearMap(
-                        Matrix(2, 2, [Scalar(rng.randint(-1, 1)) for _ in range(4)])
-                    )
+                    xi = Matrix(2, 2, [Scalar(rng.randint(-1, 1)) for _ in range(4)])
                     assert graph_subalgebra_check(xi, a, b) == is_morphism(xi, a, b)[0]
                     graph_checks += 1
         elapsed = time.perf_counter() - start

@@ -13,12 +13,11 @@ from bihomtrias.centroids import (
 from bihomtrias.core import (
     ROLES,
     BiHomTrialgebra,
-    LinearMap,
     MulTensor,
     zero_algebra,
 )
 from bihomtrias.documents import parse_algebra
-from bihomtrias.matrices import Matrix, in_span, unit_vec, vec_is_zero, zero_vec
+from bihomtrias.matrices import Matrix, in_span, rank, unit_vec, vec_is_zero, zero_vec
 from bihomtrias.scalars import ONE, Scalar
 from bihomtrias.transforms import transport
 
@@ -26,7 +25,7 @@ from oracles import seeded
 
 
 def unit(n, q, p):
-    return LinearMap.unit(n, q - 1, p - 1)
+    return Matrix.unit(n, q - 1, p - 1)
 
 
 # -- centralizers -------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_centralizer_first_entry_against_direct_evaluation():
     a = catalog_get("BTas_2^1").algebra
     h = [unit_vec(2, 0), unit_vec(2, 1)]
     space = centralizer(a, h)
-    ab = a.alpha.compose(a.beta)
+    ab = a.alpha @ a.beta
     for x in space:
         tw = ab.apply(x)
         for hv in h:
@@ -87,7 +86,7 @@ def test_centralizer_restricted_reading():
 def test_zero_map_is_centroid_element_everywhere():
     for name in catalog_list():
         a = catalog_get(name).algebra
-        assert is_centroid_element(a, LinearMap.zero(a.dim))[0]
+        assert is_centroid_element(a, Matrix.zeros(a.dim, a.dim))[0]
 
 
 def test_published_element_verifies_on_3_11():
@@ -111,10 +110,10 @@ def test_literal_right_chain_variant_differs():
         MulTensor.zero(2),
         MulTensor.from_entries(2, {(0, 0, 0): ONE}),
         MulTensor.zero(2),
-        LinearMap.identity(2),
-        LinearMap.zero(2),
+        Matrix.identity(2),
+        Matrix.zeros(2, 2),
     )
-    psi = LinearMap.identity(2)
+    psi = Matrix.identity(2)
     default_ok, default_wit = is_centroid_element(a, psi)
     literal_ok, literal_wit = is_centroid_element(a, psi, right_chain="literal")
     assert not default_ok and not literal_ok
@@ -200,12 +199,9 @@ def test_stage1_contains_every_verified_element():
         a = catalog_get(name).algebra
         flats = centroid_space(a).linear_flats()
         for _ in range(8):
-            cand = LinearMap(
-                Matrix(a.dim, a.dim,
-                       [Scalar(rng.randint(-1, 1)) for _ in range(a.dim * a.dim)])
-            )
+            cand = Matrix(a.dim, a.dim, [Scalar(rng.randint(-1, 1)) for _ in range(a.dim * a.dim)])
             if is_centroid_element(a, cand)[0]:
-                assert in_span(flats, list(cand.flatten())), name
+                assert in_span(flats, list(cand.entries)), name
 
 
 def test_scaling_closure_on_verified_elements():
@@ -230,16 +226,16 @@ def test_linear_stage_maps_satisfy_outer_equality_pointwise(name):
     psi(e_i) * ab(e_j) = ab(e_i) * psi(e_j) in each product."""
     a = catalog_get(name).algebra
     n = a.dim
-    ab = a.alpha.compose(a.beta)
+    ab = a.alpha @ a.beta
     for psi in centroid_linear_space(a):
-        assert psi.compose(a.alpha) == a.alpha.compose(psi)
-        assert psi.compose(a.beta) == a.beta.compose(psi)
+        assert psi @ a.alpha == a.alpha @ psi
+        assert psi @ a.beta == a.beta @ psi
         for role in ROLES:
             t = a.tensor(role)
             for i in range(n):
                 for j in range(n):
-                    lhs = t.bilinear(psi.image_of_basis(i), ab.image_of_basis(j))
-                    rhs = t.bilinear(ab.image_of_basis(i), psi.image_of_basis(j))
+                    lhs = t.bilinear(psi.col(i), ab.col(j))
+                    rhs = t.bilinear(ab.col(i), psi.col(j))
                     assert lhs == rhs, (role, i + 1, j + 1)
 
 
@@ -255,11 +251,9 @@ def test_transport_invariance_of_centroid_dims():
         space = centroid_space(a)
         for _ in range(4):
             while True:
-                psi = LinearMap(
-                    Matrix(a.dim, a.dim,
-                           [Scalar(rng.randint(-2, 2)) for _ in range(a.dim * a.dim)])
-                )
-                if psi.is_invertible():
+                psi = Matrix(a.dim, a.dim,
+                             [Scalar(rng.randint(-2, 2)) for _ in range(a.dim * a.dim)])
+                if rank(psi) == a.dim:
                     break
             moved = centroid_space(transport(a, psi))
             assert moved.linear_dim == space.linear_dim
@@ -276,7 +270,7 @@ def test_zero_algebra_all_maps_central():
 def test_zero_map_always_central():
     for name in ("BTas_2^1", "BTas_3^14"):
         a = catalog_get(name).algebra
-        assert is_central_derivation(a, LinearMap.zero(a.dim))
+        assert is_central_derivation(a, Matrix.zeros(a.dim, a.dim))
 
 
 @pytest.mark.parametrize("name", catalog_list())
@@ -285,21 +279,21 @@ def test_central_check_agrees_with_central_space(name):
     a = catalog_get(name).algebra
     n = a.dim
     basis = central_derivations(a).basis
-    flats = [list(b.flatten()) for b in basis]
+    flats = [list(b.entries) for b in basis]
     rng = seeded(f"central-membership:{name}")
 
     def coin():
         return Scalar(rng.choice((-1, 0, 1)))
 
     candidates = list(basis)
-    candidates += [LinearMap.from_flat(n, [coin() for _ in range(n * n)]) for _ in range(6)]
+    candidates += [Matrix(n, n, [coin() for _ in range(n * n)]) for _ in range(6)]
     for _ in range(3):
-        combo = LinearMap.zero(n)
+        combo = Matrix.zeros(n, n)
         for b in basis:
-            combo = combo.add(b.scale(coin()))
+            combo = combo + b.scale(coin())
         candidates.append(combo)
     for psi in candidates:
-        assert is_central_derivation(a, psi) == in_span(flats, list(psi.flatten()))
+        assert is_central_derivation(a, psi) == in_span(flats, list(psi.entries))
 
 
 def test_first_entry_central_derivations():
@@ -351,15 +345,13 @@ def test_inclusion_verdicts_match_membership_definition():
         a = catalog_get(name).algebra
         algebras = [a]
         while len(algebras) < 3:
-            psi = LinearMap(
-                Matrix(a.dim, a.dim, [Scalar(rng.randint(-2, 2)) for _ in range(a.dim * a.dim)])
-            )
-            if psi.is_invertible():
+            psi = Matrix(a.dim, a.dim, [Scalar(rng.randint(-2, 2)) for _ in range(a.dim * a.dim)])
+            if rank(psi) == a.dim:
                 algebras.append(transport(a, psi))
         for algebra in algebras:
             cd = central_derivations(algebra)
-            central = [list(b.flatten()) for b in cd.basis]
-            inter = [list(b.flatten()) for b in cd.cent_inter_der]
+            central = [list(b.entries) for b in cd.basis]
+            inter = [list(b.entries) for b in cd.cent_inter_der]
             contains = all(in_span(central, v) for v in inter)
             equals = contains and all(in_span(inter, v) for v in central)
             assert (cd.contains_intersection, cd.equals_intersection) == (contains, equals), name

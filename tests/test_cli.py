@@ -12,7 +12,6 @@ import pytest
 from bihomtrias.catalog import catalog_get, catalog_list, rota_baxter_example
 from bihomtrias.cli import build_parser, main
 from bihomtrias.documents import algebra_to_document, serialize_algebra, serialize_operator
-from bihomtrias.core import LinearMap
 from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import Scalar
 from bihomtrias.transforms import total_sum
@@ -144,7 +143,7 @@ def test_strict_failing_algebra(tmp_path):
 
 
 def test_construct_and_iso_round_trip(tmp_path, a21_file):
-    psi = LinearMap.from_rows([[Scalar(0), Scalar(1)], [Scalar(1), Scalar(1)]])
+    psi = Matrix.from_rows([[Scalar(0), Scalar(1)], [Scalar(1), Scalar(1)]])
     psi_file = tmp_path / "psi.json"
     psi_file.write_text(serialize_operator(psi))
     out = tmp_path / "moved.json"
@@ -155,7 +154,7 @@ def test_construct_and_iso_round_trip(tmp_path, a21_file):
     assert "isomorphism" in r.stdout
     # the wrong map is rejected
     bad = tmp_path / "bad.json"
-    bad.write_text(serialize_operator(LinearMap.identity(2)))
+    bad.write_text(serialize_operator(Matrix.identity(2)))
     r = run_cli("--strict", "iso", a21_file, str(out), "--map", str(bad))
     assert r.returncode == 1
 
@@ -242,11 +241,11 @@ def test_rb_verify(tmp_path):
     algebra_file = tmp_path / "rb.json"
     algebra_file.write_text(serialize_algebra(rota_baxter_example()))
     op0 = tmp_path / "r0.json"
-    op0.write_text(serialize_operator(LinearMap.zero(2)))
+    op0.write_text(serialize_operator(Matrix.zeros(2, 2)))
     r = run_cli("rb", "verify", str(algebra_file), "--op", str(op0), "--weight", "0")
     assert r.returncode == 0 and "verifies" in r.stdout
     op1 = tmp_path / "r1.json"
-    op1.write_text(serialize_operator(LinearMap(Matrix.identity(2).scale(Scalar(-1)))))
+    op1.write_text(serialize_operator(Matrix.identity(2).scale(Scalar(-1))))
     r = run_cli("rb", "verify", str(algebra_file), "--op", str(op1), "--weight", "1")
     assert r.returncode == 0 and "FAILS" in r.stdout
     r = run_cli("--strict", "rb", "verify", str(algebra_file), "--op", str(op1), "--weight", "1")
@@ -260,7 +259,7 @@ def test_rb_verify_text_output(tmp_path, capsys):
     def run(weight):
         # the published operator R = -w id
         op = tmp_path / f"r{weight}.json"
-        op.write_text(serialize_operator(LinearMap(Matrix.identity(2).scale(Scalar(-weight)))))
+        op.write_text(serialize_operator(Matrix.identity(2).scale(Scalar(-weight))))
         code = main(["rb", "verify", str(algebra_file), "--op", str(op), "--weight", str(weight)])
         assert code == 0
         return capsys.readouterr().out.splitlines()
@@ -276,7 +275,7 @@ def test_rb_verify_prints_the_canonical_weight(tmp_path, capsys):
     algebra_file = tmp_path / "rb.json"
     algebra_file.write_text(serialize_algebra(rota_baxter_example()))
     op = tmp_path / "r.json"
-    op.write_text(serialize_operator(LinearMap.zero(2)))
+    op.write_text(serialize_operator(Matrix.zeros(2, 2)))
 
     def run(weight, *options):
         main([*options, "rb", "verify", str(algebra_file), "--op", str(op), "--weight", weight])
@@ -339,7 +338,7 @@ def test_usage_errors_exit_2():
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
 def test_arguments_the_subcommand_would_ignore_exit_2(tmp_path, capsys, a21_file, argv):
     psi = tmp_path / "psi.json"
-    psi.write_text(serialize_operator(LinearMap.identity(2)))
+    psi.write_text(serialize_operator(Matrix.identity(2)))
     out = tmp_path / "out.json"
     assert main([a.format(a=a21_file, psi=psi, out=out) for a in argv]) == 2
     stdout, stderr = capsys.readouterr()
@@ -412,6 +411,21 @@ def test_oversized_scalar_exits_2_without_traceback(tmp_path):
     r = run_cli("verify", str(path))
     assert r.returncode == 2
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "transport"])
+def test_integer_beyond_the_digit_limit_exits_2(tmp_path, a21_file, command):
+    doc = tmp_path / "big.json"
+    if command == "verify":
+        doc.write_text('{"dim": ' + "7" * 5000 + "}")
+        r = run_cli("verify", str(doc))
+    else:
+        doc.write_text("[[" + "7" * 5000 + "]]")
+        out = tmp_path / "moved.json"
+        r = run_cli("construct", "transport", a21_file, "--map", str(doc), "-o", str(out))
+        assert not out.exists()
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-parent", "directory"])

@@ -109,7 +109,7 @@ def test_identity_twists_always_multiplicative():
         }
         alg = BiHomTrialgebra(
             "rand", tensors[LEFT], tensors[RIGHT], tensors[MIDDLE],
-            LinearMap.identity(2), LinearMap.identity(2),
+            Matrix.identity(2), Matrix.identity(2),
         )
         assert check_multiplicativity(alg).all_hold
 
@@ -117,7 +117,7 @@ def test_identity_twists_always_multiplicative():
 def test_non_endomorphism_witnessed_at_2_2():
     broken = BiHomTrialgebra(
         "broken", A21.left, A21.right, A21.middle,
-        LinearMap.unit(2, 1, 1),  # alpha(e2) = e2
+        Matrix.unit(2, 1, 1),  # alpha(e2) = e2
         A21.beta,
     )
     report = check_multiplicativity(broken)
@@ -143,9 +143,7 @@ def _random_algebra(rng, dim=2):
             )
         tensors[role] = MulTensor.from_entries(dim, entries)
     def rmap():
-        return LinearMap(
-            Matrix(dim, dim, [random_sparse_scalar(rng) for _ in range(dim * dim)])
-        )
+        return Matrix(dim, dim, [random_sparse_scalar(rng) for _ in range(dim * dim)])
     return BiHomTrialgebra(
         "rand", tensors[LEFT], tensors[RIGHT], tensors[MIDDLE], rmap(), rmap()
     )
@@ -181,8 +179,8 @@ def test_zero_completion_of_catalog_entries():
     assert len(A21.left.nonzero_entries()) == 3
     assert len(A21.right.nonzero_entries()) == 2
     assert len(A21.middle.nonzero_entries()) == 1
-    assert A21.alpha.image_of_basis(0) == zero_vec(2)
-    assert A21.alpha.image_of_basis(1) == e(2, 1)
+    assert A21.alpha.col(0) == zero_vec(2)
+    assert A21.alpha.col(1) == e(2, 1)
 
 
 def _twin_algebras():
@@ -191,7 +189,7 @@ def _twin_algebras():
     def build(name):
         left, right, middle = (MulTensor([[list(r) for r in p] for p in t.c])
                                for t in A21.tensors())
-        alpha, beta = (LinearMap.from_rows(f.matrix.row_list()) for f in (A21.alpha, A21.beta))
+        alpha, beta = (Matrix.from_rows(f.row_list()) for f in (A21.alpha, A21.beta))
         return BiHomTrialgebra(name, left, right, middle, alpha, beta)
     return build("one"), build("other")
 
@@ -201,7 +199,7 @@ VALUE_TWINS = {
         Matrix(2, 2, [1, 0, Fraction(1, 2), 3]),
         Matrix.from_rows([[Scalar(1), Scalar(0)], [Scalar(Fraction(1, 2)), Scalar(3)]]),
     ),
-    "LinearMap": lambda: (LinearMap(Matrix.identity(2)), LinearMap.from_rows([[1, 0], [0, 1]])),
+    "LinearMap": lambda: (LinearMap(Matrix.identity(2)), Matrix.from_rows([[1, 0], [0, 1]])),
     "MulTensor": lambda: (
         MulTensor([[[1, 0], [0, 0]], [[0, 0], [0, Fraction(2, 3)]]]),
         MulTensor.from_entries(2, {(0, 0, 0): 1, (1, 1, 1): Fraction(2, 3)}),

@@ -24,9 +24,9 @@ def test_first_entry_document_contents():
         len(t.nonzero_entries()) for t in algebra.tensors()
     )
     assert nonzero == 6
-    assert algebra.alpha.image_of_basis(1) == unit_vec(2, 0)
-    assert algebra.beta.image_of_basis(1) == unit_vec(2, 0)
-    assert algebra.alpha.image_of_basis(0) == zero_vec(2)
+    assert algebra.alpha.col(1) == unit_vec(2, 0)
+    assert algebra.beta.col(1) == unit_vec(2, 0)
+    assert algebra.alpha.col(0) == zero_vec(2)
 
 
 def test_empty_products_dim_1_is_zero_algebra():
@@ -93,6 +93,16 @@ def test_malformed_json_reports_line():
     with pytest.raises(ParseError) as err:
         parse_algebra('{"name": "x",\n  "dim": }')
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_algebra, '{"dim": ' + "7" * 5000 + "}"),
+    (parse_operator, "[[" + "7" * 5000 + "]]"),
+], ids=["algebra-dim", "operator-cell"])
+def test_integer_beyond_the_digit_limit_is_parse_error(parse, text):
+    """json.loads raises a plain ValueError past the 4,300-digit int limit."""
+    with pytest.raises(ParseError, match="too many digits"):
+        parse(text)
 
 
 def test_bad_scalar_reports_field():

@@ -7,6 +7,7 @@ function body (no package module needs one to break an import cycle).
 The independent audit routes, which the checks compare against, must not
 share the per-algebra memo or its helpers, nor name the evaluator path.
 Only ``MulTensor`` and the coordinate route read structure constants.
+A linear map is a square ``Matrix``, with no wrapper type around it.
 The package ``__init__`` (whose imports are re-exports) and ``from
 __future__ import annotations`` are exempt from the unused-name check.
 """
@@ -183,3 +184,16 @@ def test_only_multensor_reads_structure_constants():
             if isinstance(node, ast.Attribute) and node.attr == "c" and id(node) not in inside
         ]
     assert not readers, f"structure constants read outside MulTensor at {readers}"
+
+
+def test_maps_are_matrices():
+    """A linear map is a square ``Matrix``: no module defines a wrapper class
+    named ``LinearMap`` or reads a wrapped ``.matrix`` back out."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.ClassDef) and node.name == "LinearMap")
+        or (isinstance(node, ast.Attribute) and node.attr == "matrix")
+    ]
+    assert not found, f"LinearMap class or .matrix read at {found}"

@@ -17,8 +17,9 @@ from bihomtrias.centroids import (
     centroid_space,
     is_central_derivation,
 )
-from bihomtrias.core import LinearMap, full_report
+from bihomtrias.core import full_report
 from bihomtrias.derivations import derivation_space
+from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import Scalar
 
 ANALYSES = (full_report, derivation_space, centroid_linear_space, centroid_space,
@@ -107,7 +108,7 @@ def test_every_cached_value_is_immutable(entry_id):
     entry = catalog_get(entry_id)
     a = fresh(entry_id)
     audit(entry, a)
-    is_central_derivation(a, LinearMap.zero(a.dim))
+    is_central_derivation(a, Matrix.zeros(a.dim, a.dim))
     assert len(a._memo) == 6
     for fn, value in a._memo.items():
         assert isinstance(value, tuple) or dataclasses.is_dataclass(value), fn.__name__

@@ -12,7 +12,6 @@ from bihomtrias import (
     BiHomAlgebra,
     BiHomTrialgebra,
     DimensionMismatch,
-    LinearMap,
     Matrix,
     MulTensor,
     ParseError,
@@ -25,7 +24,7 @@ from bihomtrias.matrices import zero_vec
 def test_public_names_resolve():
     names = [
         "Scalar", "Matrix", "rref", "nullspace", "inverse",
-        "MulTensor", "LinearMap", "BiHomTrialgebra",
+        "MulTensor", "BiHomTrialgebra",
         "check_axioms", "check_multiplicativity",
         "parse_algebra", "serialize_algebra", "parse_operator", "serialize_operator",
         "is_morphism", "transport", "untwist", "direct_sum",
@@ -80,15 +79,27 @@ def test_import_constructs_no_algebra():
 
 A2 = zero_algebra(2)
 T2, T3 = MulTensor.zero(2), MulTensor.zero(3)
-I2, I3 = LinearMap.identity(2), LinearMap.identity(3)
+I2, I3 = Matrix.identity(2), Matrix.identity(3)
 M23, M32 = Matrix.zeros(2, 3), Matrix.zeros(3, 2)
 
 
 @pytest.mark.parametrize("error, match, call", [
     pytest.param(DimensionMismatch, "tensor is not 1x1x1",
                  lambda: MulTensor([[[0, 0], [0, 0]]]), id="MulTensor shape"),
-    pytest.param(DimensionMismatch, "must be square", lambda: LinearMap(M23),
-                 id="LinearMap non-square"),
+    pytest.param(DimensionMismatch, "must be square, got 2x3",
+                 lambda: bihomtrias.core.LinearMap(M23), id="LinearMap non-square"),
+    pytest.param(DimensionMismatch, "must be square, got 2x3",
+                 lambda: BiHomTrialgebra("x", T2, T2, T2, M23, I2), id="BiHomTrialgebra non-square"),
+    pytest.param(DimensionMismatch, "must be square, got 2x3",
+                 lambda: bihomtrias.is_derivation(A2, M23), id="is_derivation non-square"),
+    pytest.param(DimensionMismatch, "must be square, got 1x4",
+                 lambda: bihomtrias.centroids.is_central_derivation(A2, Matrix.zeros(1, 4)),
+                 id="is_central_derivation non-square"),
+    pytest.param(DimensionMismatch, "central derivation candidate",
+                 lambda: bihomtrias.centroids.is_central_derivation(A2, I3),
+                 id="is_central_derivation"),
+    pytest.param(DimensionMismatch, "must be square, got 2x3",
+                 lambda: bihomtrias.serialize_operator(M23), id="serialize_operator non-square"),
     pytest.param(DimensionMismatch, "right tensor has dim 3",
                  lambda: BiHomTrialgebra("x", T2, T3, T2, I2, I2), id="BiHomTrialgebra tensor"),
     pytest.param(DimensionMismatch, "twisting map",
@@ -101,6 +112,9 @@ M23, M32 = Matrix.zeros(2, 3), Matrix.zeros(3, 2)
                  lambda: bihomtrias.centralizer(A2, [zero_vec(3)]), id="centralizer"),
     pytest.param(DimensionMismatch, "centroid candidate",
                  lambda: bihomtrias.is_centroid_element(A2, I3), id="is_centroid_element"),
+    pytest.param(ValueError, "'alpha-beta' or 'literal', got 'literl'",
+                 lambda: bihomtrias.is_centroid_element(A2, I2, right_chain="literl"),
+                 id="is_centroid_element right_chain"),
     pytest.param(DimensionMismatch, "transport map", lambda: bihomtrias.transport(A2, I3),
                  id="transport"),
     pytest.param(DimensionMismatch, "graph check",

@@ -5,7 +5,6 @@ from bihomtrias.centroids import centroid_space
 from bihomtrias.core import (
     ROLES,
     BiHomTrialgebra,
-    LinearMap,
     MulTensor,
     check_axioms,
     full_report,
@@ -40,17 +39,17 @@ from oracles import seeded
 
 A21 = catalog_get("BTas_2^1").algebra
 A22 = catalog_get("BTas_2^2").algebra
-SWAP2 = LinearMap.from_rows([[ZERO, ONE], [ONE, ZERO]])
+SWAP2 = Matrix.from_rows([[ZERO, ONE], [ONE, ZERO]])
 
 
 def rand_map(rng, n, lo=-1, hi=1):
-    return LinearMap(Matrix(n, n, [Scalar(rng.randint(lo, hi)) for _ in range(n * n)]))
+    return Matrix(n, n, [Scalar(rng.randint(lo, hi)) for _ in range(n * n)])
 
 
 def rand_invertible(rng, n):
     while True:
         m = rand_map(rng, n, -2, 2)
-        if m.is_invertible():
+        if rank(m) == n:
             return m
 
 
@@ -59,15 +58,15 @@ def rand_invertible(rng, n):
 def test_identity_map_is_morphism_everywhere():
     for name in catalog_list():
         a = catalog_get(name).algebra
-        assert is_morphism(LinearMap.identity(a.dim), a, a)[0]
+        assert is_morphism(Matrix.identity(a.dim), a, a)[0]
 
 
 def test_zero_map_is_morphism():
-    assert is_morphism(LinearMap.zero(2), A21, A22)[0]
+    assert is_morphism(Matrix.zeros(2, 2), A21, A22)[0]
 
 
 def test_transport_by_identity_is_identity():
-    t = transport(A21, LinearMap.identity(2))
+    t = transport(A21, Matrix.identity(2))
     assert t.left == A21.left and t.right == A21.right and t.middle == A21.middle
     assert t.alpha == A21.alpha and t.beta == A21.beta
 
@@ -89,7 +88,7 @@ def test_transport_has_same_structure_constants_in_new_basis():
             for i in range(a.dim):
                 for j in range(a.dim):
                     lhs = t.tensor(role).bilinear(
-                        psi.image_of_basis(i), psi.image_of_basis(j)
+                        psi.col(i), psi.col(j)
                     )
                     rhs = psi.apply(a.tensor(role).pair(i, j))
                     assert lhs == rhs
@@ -97,7 +96,7 @@ def test_transport_has_same_structure_constants_in_new_basis():
 
 def test_transport_requires_invertible():
     with pytest.raises(SingularMatrix):
-        transport(A21, LinearMap.zero(2))
+        transport(A21, Matrix.zeros(2, 2))
 
 
 def _automorphisms_small(algebra):
@@ -110,7 +109,7 @@ def _automorphisms_small(algebra):
         m = Matrix(n, n, [Scalar(x) for x in entries])
         if rank(m) < n:
             continue
-        phi = LinearMap(m)
+        phi = m
         if is_morphism(phi, algebra, algebra)[0]:
             found.append(phi)
     return found
@@ -118,15 +117,15 @@ def _automorphisms_small(algebra):
 
 def test_conjugated_automorphisms():
     autos = _automorphisms_small(A21)
-    assert LinearMap.identity(2) in autos
+    assert Matrix.identity(2) in autos
     rng = seeded("conjugation")
     psi = rand_invertible(rng, 2)
     for phi in autos:
         assert conjugate_automorphism_check(A21, psi, phi)
     # psi = identity reduces to phi being an automorphism of the input
-    assert conjugate_automorphism_check(A21, LinearMap.identity(2), autos[0])
+    assert conjugate_automorphism_check(A21, Matrix.identity(2), autos[0])
     with pytest.raises(PreconditionFailed):
-        conjugate_automorphism_check(A21, psi, LinearMap.zero(2))
+        conjugate_automorphism_check(A21, psi, Matrix.zeros(2, 2))
 
 
 # -- untwist ------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_conjugated_automorphisms():
 def test_untwist_identity_twists_is_identity():
     withid = BiHomTrialgebra(
         "t", A21.left, A21.right, A21.middle,
-        LinearMap.identity(2), LinearMap.identity(2),
+        Matrix.identity(2), Matrix.identity(2),
     )
     candidate, _ = untwist(withid)
     assert candidate.left == A21.left
@@ -152,8 +151,8 @@ def test_untwist_singular_twists_rejected():
 def test_untwist_invertible_case_reports():
     a = catalog_get("BTas_2^5").algebra  # alpha = id, beta invertible
     candidate, report = untwist(a)
-    assert candidate.alpha == LinearMap.identity(2)
-    assert candidate.beta == LinearMap.identity(2)
+    assert candidate.alpha == Matrix.identity(2)
+    assert candidate.beta == Matrix.identity(2)
     # recomputed observation, frozen: the untwisted candidate passes
     assert report.all_hold
 
@@ -182,9 +181,9 @@ def test_direct_sum_passes_axioms_and_der_superadditive():
 
 
 def test_graph_check_trivial_cases():
-    assert graph_subalgebra_check(LinearMap.zero(2), A21, A22) is True
-    assert is_morphism(LinearMap.zero(2), A21, A22)[0]
-    ident = LinearMap.identity(2)
+    assert graph_subalgebra_check(Matrix.zeros(2, 2), A21, A22) is True
+    assert is_morphism(Matrix.zeros(2, 2), A21, A22)[0]
+    ident = Matrix.identity(2)
     assert graph_subalgebra_check(ident, A21, A21) == is_morphism(ident, A21, A21)[0]
 
 
@@ -209,7 +208,7 @@ def test_rb_example_weights():
     assert full_report(ex).all_hold
     for w, expected in ((0, True), (1, False), (-2, False)):
         lam = Scalar(w)
-        op = LinearMap(Matrix.identity(2).scale(-lam))
+        op = Matrix.identity(2).scale(-lam)
         ok, witnesses = rota_baxter_check(ex, op, lam)
         assert ok is expected
         if not expected:
@@ -219,16 +218,16 @@ def test_rb_example_weights():
 def test_rb_zero_operator_weight_zero_holds_everywhere():
     for name in catalog_list():
         a = catalog_get(name).algebra
-        ok, _ = rota_baxter_check(a, LinearMap.zero(a.dim), Scalar(0))
+        ok, _ = rota_baxter_check(a, Matrix.zeros(a.dim, a.dim), Scalar(0))
         assert ok
 
 
 def test_rb_identity_weight_minus_two():
     # R = id, w = -2 collapses every inside sum to zero, so the check
     # holds exactly when all products vanish.
-    ok, _ = rota_baxter_check(zero_algebra(2), LinearMap.identity(2), Scalar(-2))
+    ok, _ = rota_baxter_check(zero_algebra(2), Matrix.identity(2), Scalar(-2))
     assert ok
-    ok, _ = rota_baxter_check(A21, LinearMap.identity(2), Scalar(-2))
+    ok, _ = rota_baxter_check(A21, Matrix.identity(2), Scalar(-2))
     assert not ok
 
 
@@ -237,8 +236,8 @@ def _star_algebra(tensor_role_source, alpha, beta, name="star"):
 
 
 def test_rb_induced_zero_product():
-    b = _star_algebra(MulTensor.zero(2), LinearMap.zero(2), LinearMap.zero(2))
-    result = rb_induced(b, LinearMap.identity(2), Scalar(1))
+    b = _star_algebra(MulTensor.zero(2), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+    result = rb_induced(b, Matrix.identity(2), Scalar(1))
     assert result.precondition_holds
     assert result.report.all_hold
     for role in ROLES:
@@ -253,7 +252,7 @@ def test_rb_induced_from_example_left_product():
     ex = rota_baxter_example()
     base = BiHomAlgebra("ex-left", ex.left, ex.alpha, ex.beta)
     lam = Scalar(1)
-    op = LinearMap(Matrix.identity(2).scale(-lam))
+    op = Matrix.identity(2).scale(-lam)
     ok, _ = rota_baxter_check_single(base, op, lam)
     assert ok  # the single-product identity has no left/right crossing
     result = rb_induced(base, op, lam)
@@ -268,7 +267,7 @@ def test_rb_induced_from_example_left_product():
 def test_rb_induced_weight_zero_kills_middle():
     ex = rota_baxter_example()
     base = BiHomAlgebra("ex-left", ex.left, ex.alpha, ex.beta)
-    result = rb_induced(base, LinearMap.zero(2), Scalar(0))
+    result = rb_induced(base, Matrix.zeros(2, 2), Scalar(0))
     assert all(
         vec_is_zero(result.algebra.middle.pair(i, j)) for i in range(2) for j in range(2)
     )
@@ -279,7 +278,7 @@ def test_rb_induced_weight_zero_kills_middle():
 def test_swap_identity_twists():
     a = BiHomTrialgebra(
         "id-twists", A21.left, A21.right, A21.middle,
-        LinearMap.identity(2), LinearMap.identity(2),
+        Matrix.identity(2), Matrix.identity(2),
     )
     result = swap_maps(a)
     assert result.algebra.alpha == a.alpha and result.algebra.beta == a.beta
@@ -390,8 +389,8 @@ def test_total_sum_on_entries():
 def test_averaging_identity_and_zero_operator():
     for name in ("BTas_2^1", "BTas_3^1"):
         a = catalog_get(name).algebra
-        assert averaging_check(a, LinearMap.identity(a.dim))[0]
-        assert averaging_check(a, LinearMap.zero(a.dim))[0]
+        assert averaging_check(a, Matrix.identity(a.dim))[0]
+        assert averaging_check(a, Matrix.zeros(a.dim, a.dim))[0]
 
 
 def test_averaging_scalar_maps():
@@ -400,13 +399,13 @@ def test_averaging_scalar_maps():
     under direct expansion)."""
     a = catalog_get("BTas_2^2").algebra  # multiplicative entry
     for c in (Scalar(0), Scalar(1), Scalar(2), Scalar(0, 1)):
-        xi = LinearMap(Matrix.identity(2).scale(c))
+        xi = Matrix.identity(2).scale(c)
         ok, _ = averaging_check(a, xi)
         assert ok
 
 
 def test_averaging_detects_noncommuting_operator():
-    ok, witnesses = averaging_check(A21, LinearMap.unit(2, 1, 1))
+    ok, witnesses = averaging_check(A21, Matrix.unit(2, 1, 1))
     # xi(e2)=e2 does not commute with alpha(e2)=e1
     assert not ok and witnesses
 
@@ -414,7 +413,7 @@ def test_averaging_detects_noncommuting_operator():
 def test_averaging_induced_identity_operators():
     # associative product: x.y from the total sum of a catalog entry
     mu = A21.left
-    b = BiHomAlgebra("b", mu, LinearMap.identity(2), LinearMap.identity(2))
+    b = BiHomAlgebra("b", mu, Matrix.identity(2), Matrix.identity(2))
     candidate, report = averaging_induced(b)
     assert candidate.left.c == mu.c and candidate.right.c == mu.c and candidate.middle.c == mu.c
     del report
@@ -422,7 +421,7 @@ def test_averaging_induced_identity_operators():
 
 def test_averaging_induced_zero_operators():
     mu = A21.left
-    b = BiHomAlgebra("b", mu, LinearMap.zero(2), LinearMap.zero(2))
+    b = BiHomAlgebra("b", mu, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
     candidate, report = averaging_induced(b)
     assert all(
         vec_is_zero(candidate.tensor(role).pair(i, j))
@@ -434,7 +433,7 @@ def test_averaging_induced_zero_operators():
 def test_averaging_induced_precondition_failure():
     # xi(e1)=e2 on the left product of the example is not averaging
     mu = A21.left
-    b = BiHomAlgebra("b", mu, LinearMap.unit(2, 1, 0), LinearMap.zero(2))
+    b = BiHomAlgebra("b", mu, Matrix.unit(2, 1, 0), Matrix.zeros(2, 2))
     with pytest.raises(PreconditionFailed) as err:
         averaging_induced(b)
     assert "alpha" in str(err.value)
@@ -449,7 +448,7 @@ def test_averaging_induced_idempotent_random_sweep():
         for _ in range(rng.randint(1, 3)):
             entries[(rng.randrange(2), rng.randrange(2), rng.randrange(2))] = Scalar(1)
         mu = MulTensor.from_entries(2, entries)
-        f = LinearMap.from_rows(
+        f = Matrix.from_rows(
             [[diag_pool[rng.randint(0, 1)], ZERO], [ZERO, diag_pool[rng.randint(0, 1)]]]
         )
         b = BiHomAlgebra("r", mu, f, f)
@@ -497,14 +496,14 @@ _ENDOMORPHISM_CHECKERS = {
 @pytest.mark.parametrize("checker", sorted(_ENDOMORPHISM_CHECKERS))
 def test_noncommuting_map_gets_commute_alpha_witness(checker):
     a = catalog_get("BTas_2^1").algebra
-    u = LinearMap.unit(2, 0, 0)  # E11: u(alpha(e2)) = e1, alpha(u(e2)) = 0
+    u = Matrix.unit(2, 0, 0)  # E11: u(alpha(e2)) = e1, alpha(u(e2)) = 0
     ok, witnesses = _ENDOMORPHISM_CHECKERS[checker](a, u)
     assert not ok
-    lhs, rhs = u.compose(a.alpha), a.alpha.compose(u)
+    lhs, rhs = u @ a.alpha, a.alpha @ u
     expected = [
-        ("commute-alpha", i + 1, None, lhs.image_of_basis(i), rhs.image_of_basis(i))
+        ("commute-alpha", i + 1, None, lhs.col(i), rhs.col(i))
         for i in range(2)
-        if lhs.image_of_basis(i) != rhs.image_of_basis(i)
+        if lhs.col(i) != rhs.col(i)
     ]
     assert expected == [("commute-alpha", 2, None, (ONE, ZERO), (ZERO, ZERO))]
     assert [
@@ -514,12 +513,12 @@ def test_noncommuting_map_gets_commute_alpha_witness(checker):
 
 def test_morphism_twist_witnesses_compare_against_target():
     a = catalog_get("BTas_2^1").algebra
-    b = transport(a, LinearMap.from_rows([[ZERO, ONE], [ONE, ZERO]]))
-    report = is_morphism(LinearMap.identity(2), a, b)
+    b = transport(a, Matrix.from_rows([[ZERO, ONE], [ONE, ZERO]]))
+    report = is_morphism(Matrix.identity(2), a, b)
     twist = [w for w in report[1] if w.check.startswith("commute-")]
     assert {w.check.removeprefix("commute-") for w in twist} == {"alpha", "beta"}
     for w in twist:
         name = w.check.removeprefix("commute-")
         assert w.j is None
-        assert w.lhs == getattr(a, name).image_of_basis(w.i - 1)
-        assert w.rhs == getattr(b, name).image_of_basis(w.i - 1)
+        assert w.lhs == getattr(a, name).col(w.i - 1)
+        assert w.rhs == getattr(b, name).col(w.i - 1)

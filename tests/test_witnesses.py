@@ -12,8 +12,9 @@ import pytest
 
 from bihomtrias import catalog_get, check_axioms, check_multiplicativity
 from bihomtrias.centroids import is_centroid_element
-from bihomtrias.core import LinearMap, Witness, twist_commutation_witnesses
+from bihomtrias.core import Witness, twist_commutation_witnesses
 from bihomtrias.derivations import is_derivation
+from bihomtrias.matrices import Matrix
 from bihomtrias.scalars import ONE
 from bihomtrias.transforms import (
     BiHomAlgebra,
@@ -29,9 +30,9 @@ from bihomtrias.transforms import (
 # BTas_3^16 fails C0, every product axiom, several multiplicativity checks,
 # both commutator identities and the BiHom-associativity of its left product.
 A = catalog_get("BTas_3^16").algebra
-U = LinearMap.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, -1]])  # commutes with neither twist
+U = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, -1]])  # commutes with neither twist
 SINGLE = BiHomAlgebra("left", A.left, A.alpha, A.beta)
-SWAP = LinearMap.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+SWAP = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def _twist_or(arity):
@@ -88,11 +89,11 @@ def test_witness_contract(checker):
 B = catalog_get("BTas_3^2").algebra
 ORDER_CASES = {
     "is_centroid_element": (
-        is_centroid_element(B, LinearMap.identity(3))[1],
+        is_centroid_element(B, Matrix.identity(3))[1],
         ("outer-vs-middle", "middle-vs-outer"),
     ),
     "averaging_check": (
-        averaging_check(B, LinearMap.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))[1],
+        averaging_check(B, Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]))[1],
         ("first", "second"),
     ),
 }
