@@ -16,22 +16,13 @@ import time
 from dataclasses import dataclass, fields
 from functools import cache
 
-from . import catalog_data
-from .centroids import (
-    cent_der_property_suite,
-    central_derivations,
-    centroid_linear_space,
-    centroid_space,
-    is_centroid_element,
-)
-from .coordinate import coordinate_detail
+import bihomtrias
+
 from .core import ROLES, BiHomTrialgebra, MulTensor, full_report, products_span
-from .derivations import derivation_space, is_derivation
 from .errors import UnknownId
 from .matrices import Matrix, in_span, rank
 from .reports import ErrataRecord, map_to_strings
 from .scalars import ONE, ZERO, Scalar
-from .transforms import rota_baxter_check
 
 
 def _tensor_from_spec(dim, spec):
@@ -81,10 +72,11 @@ class CatalogEntry:
 @cache
 def _catalog():
     """Every entry by id, in table order."""
+    data = bihomtrias.catalog_data
     entries = {}
     for name in [f"BTas_2^{m}" for m in range(1, 8)] + [f"BTas_3^{m}" for m in range(1, 25)]:
-        raw = catalog_data.RAW_ENTRIES[name]
-        amb = catalog_data.AMBIGUOUS.get(name)
+        raw = data.RAW_ENTRIES[name]
+        amb = data.AMBIGUOUS.get(name)
         candidates = ()
         notes = ()
         if amb:
@@ -97,11 +89,11 @@ def _catalog():
             notes = (amb["note"], "verbatim: " + " / ".join(amb["verbatim"]))
         else:
             algebra = _algebra_from_raw(name, raw)
-        der = catalog_data.DER_TABLE.get(name)
+        der = data.DER_TABLE.get(name)
         if name.startswith("BTas_2"):
-            cent_dim, cent_units = catalog_data.CENT_TWO_DIM_COROLLARY, ()
+            cent_dim, cent_units = data.CENT_TWO_DIM_COROLLARY, ()
         else:
-            cent = catalog_data.CENT_TABLE.get(name)
+            cent = data.CENT_TABLE.get(name)
             cent_dim, cent_units = (cent if cent else (None, ()))
         entries[name] = CatalogEntry(
             algebra,
@@ -128,7 +120,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 
 def rota_baxter_example() -> BiHomTrialgebra:
     """The two-dimensional example carrying the weighted operator R = -w id."""
-    return _algebra_from_raw("RBexample_2", catalog_data.ROTA_BAXTER_EXAMPLE)
+    return _algebra_from_raw("RBexample_2", bihomtrias.catalog_data.ROTA_BAXTER_EXAMPLE)
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -163,8 +155,8 @@ def fingerprint(algebra: BiHomTrialgebra) -> Fingerprint:
     squared = products_span(algebra)
     return Fingerprint(
         report.profile(),
-        derivation_space(algebra).dim,
-        len(centroid_linear_space(algebra)),
+        bihomtrias.derivations.derivation_space(algebra).dim,
+        len(bihomtrias.centroids.centroid_linear_space(algebra)),
         tuple(product_ranks),
         (rank(algebra.alpha), rank(algebra.beta)),
         rank(Matrix.from_rows(squared)) if squared else 0,
@@ -345,14 +337,15 @@ def derivation_row(entry: CatalogEntry) -> DerivationRow:
     """Recompute the derivation space, compare it with the published row,
     re-verify every published basis matrix; errata on any mismatch."""
     algebra = entry.algebra
-    space = derivation_space(algebra)
+    space = bihomtrias.derivations.derivation_space(algebra)
     recomputed = {
         "recomputed_dim": space.dim,
         "recomputed_basis": [map_to_strings(b) for b in space.basis],
     }
     claims, errata = published_unit_claims(
-        entry, entry.paper_der_units, lambda u: is_derivation(algebra, u),
-        space.flats(), "derivation-basis", "published basis matrix {} is a derivation", recomputed,
+        entry, entry.paper_der_units,
+        lambda u: bihomtrias.derivations.is_derivation(algebra, u), space.flats(),
+        "derivation-basis", "published basis matrix {} is a derivation", recomputed,
     )
     errata += _dim_errata(entry, "derivation", entry.paper_der_dim, space.dim, recomputed)
     return DerivationRow(entry, space, claims, tuple(errata))
@@ -360,10 +353,11 @@ def derivation_row(entry: CatalogEntry) -> DerivationRow:
 
 def _centroid_row(entry: CatalogEntry) -> CentroidRow:
     algebra = entry.algebra
-    space = centroid_space(algebra)
+    space = bihomtrias.centroids.centroid_space(algebra)
     subspace = [map_to_strings(b) for b in space.subspace_basis]
     claims, errata = published_unit_claims(
-        entry, entry.paper_cent_units, lambda u: is_centroid_element(algebra, u),
+        entry, entry.paper_cent_units,
+        lambda u: bihomtrias.centroids.is_centroid_element(algebra, u),
         [list(b.entries) for b in space.subspace_basis],
         "centroid-basis", "published centroid matrix {} satisfies the definition",
         {"recomputed_dim": space.reported_dim, "recomputed_subspace": subspace},
@@ -446,7 +440,7 @@ def verify_entry(entry: CatalogEntry) -> EntryVerification:
     algebra = entry.algebra
     combined = full_report(algebra)
     checks = combined.profile()
-    coord = coordinate_detail(algebra)
+    coord = bihomtrias.coordinate.coordinate_detail(algebra)
     coordinate_agrees = all(
         coord[cid] == res.holds for cid, res in ((r.axiom_id, r) for r in combined.results)
     )
@@ -506,7 +500,7 @@ def rota_baxter_example_report():
     for w in (0, 1, -2):
         lam = Scalar(w)
         op = Matrix.identity(algebra.dim).scale(-lam)
-        ok, witnesses = rota_baxter_check(algebra, op, lam)
+        ok, witnesses = bihomtrias.transforms.rota_baxter_check(algebra, op, lam)
         results.append({"weight": w, "holds": ok, "failing_pairs": len(witnesses)})
         if not ok:
             first = witnesses[0]
@@ -530,8 +524,8 @@ def interaction_report():
     errata = []
     for name in catalog_list():
         algebra = catalog_get(name).algebra
-        suite = cent_der_property_suite(algebra, name)
-        cd = central_derivations(algebra)
+        suite = bihomtrias.centroids.cent_der_property_suite(algebra, name)
+        cd = bihomtrias.centroids.central_derivations(algebra)
         errata.extend(suite.failures)
         if not cd.equals_intersection:
             errata.append(

@@ -14,10 +14,10 @@ import json
 import os
 import sys
 
+import bihomtrias
+
 from .catalog import catalog_get, catalog_list, catalog_verify
-from .centroids import centroid_space
 from .core import BiHomTrialgebra, MulTensor, full_report
-from .derivations import derivation_space
 from .documents import (
     algebra_to_document,
     parse_algebra,
@@ -27,13 +27,6 @@ from .documents import (
 from .errors import BihomtriasError, ParseError
 from .reports import map_to_strings
 from .scalars import format_scalar, parse_scalar
-from .transforms import (
-    direct_sum,
-    is_isomorphism,
-    rota_baxter_check,
-    total_sum,
-    transport,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +96,7 @@ def _cmd_verify(args, fmt):
 
 def _cmd_der(args, fmt):
     algebra = _load_algebra(args.file)
-    space = derivation_space(algebra)
+    space = bihomtrias.derivations.derivation_space(algebra)
     payload = {
         "algebra": algebra.name,
         "dim": space.dim,
@@ -121,7 +114,7 @@ def _cmd_der(args, fmt):
 
 def _cmd_cent(args, fmt):
     algebra = _load_algebra(args.file)
-    space = centroid_space(algebra)
+    space = bihomtrias.centroids.centroid_space(algebra)
     payload = {
         "algebra": algebra.name,
         "linear_dim": space.linear_dim,
@@ -191,7 +184,7 @@ def _cmd_iso(args, fmt):
     a = _load_algebra(args.a)
     b = _load_algebra(args.b)
     psi = parse_operator(_read(args.map), expected_dim=a.dim)
-    ok = is_isomorphism(psi, a, b)
+    ok = bihomtrias.transforms.is_isomorphism(psi, a, b)
     payload = {"isomorphism": ok}
     _emit(payload, fmt, lambda p: print("isomorphism" if p["isomorphism"] else "not an isomorphism"))
     return 0 if ok else None
@@ -210,12 +203,13 @@ def _write(args, fmt, result):
 
 
 def _cmd_direct_sum(args, fmt):
-    return _write(args, fmt, direct_sum(_load_algebra(args.a), _load_algebra(args.b)))
+    a, b = _load_algebra(args.a), _load_algebra(args.b)
+    return _write(args, fmt, bihomtrias.transforms.direct_sum(a, b))
 
 
 def _cmd_total_sum(args, fmt):
     algebra = _load_algebra(args.a)
-    candidate, witnesses = total_sum(algebra)
+    candidate, witnesses = bihomtrias.transforms.total_sum(algebra)
     # Export the single product as an algebra document whose left slot
     # carries the product and whose other two slots are zero.
     zero = MulTensor.zero(algebra.dim)
@@ -231,14 +225,14 @@ def _cmd_total_sum(args, fmt):
 def _cmd_transport(args, fmt):
     algebra = _load_algebra(args.a)
     psi = parse_operator(_read(args.map), expected_dim=algebra.dim)
-    return _write(args, fmt, transport(algebra, psi))
+    return _write(args, fmt, bihomtrias.transforms.transport(algebra, psi))
 
 
 def _cmd_rb(args, fmt):
     algebra = _load_algebra(args.a)
     op = parse_operator(_read(args.op), expected_dim=algebra.dim)
     weight = parse_scalar(args.weight, "weight")
-    ok, witnesses = rota_baxter_check(algebra, op, weight)
+    ok, witnesses = bihomtrias.transforms.rota_baxter_check(algebra, op, weight)
     payload = {
         "algebra": algebra.name,
         "weight": format_scalar(weight),

@@ -8,6 +8,7 @@ The independent audit routes, which the checks compare against, must not
 share the per-algebra memo or its helpers, nor name the evaluator path.
 Only ``MulTensor`` and the coordinate route read structure constants.
 A linear map is a square ``Matrix``, with no wrapper type around it.
+Modules are loaded on demand in one place only: the package ``__init__``.
 The package ``__init__`` (whose imports are re-exports) and ``from
 __future__ import annotations`` are exempt from the unused-name check.
 """
@@ -197,3 +198,23 @@ def test_maps_are_matrices():
         or (isinstance(node, ast.Attribute) and node.attr == "matrix")
     ]
     assert not found, f"LinearMap class or .matrix read at {found}"
+
+
+DYNAMIC_IMPORT_NAMES = {"importlib", "import_module", "__import__"}
+
+
+def test_only_the_package_init_imports_dynamically():
+    """Deferred loading lives in ``__init__``'s ``__getattr__``; no other
+    module names ``importlib``, ``import_module`` or ``__import__``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Import) and any(
+            a.name.partition(".")[0] in DYNAMIC_IMPORT_NAMES for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0]
+            in DYNAMIC_IMPORT_NAMES)
+        or (isinstance(node, ast.Name) and node.id in DYNAMIC_IMPORT_NAMES)
+        or (isinstance(node, ast.Attribute) and node.attr in DYNAMIC_IMPORT_NAMES)
+    ]
+    assert not found, f"dynamic import outside __init__.py at {found}"

@@ -1,6 +1,7 @@
-"""Import-surface sanity for the public package namespace, and the
-exception each malformed call documents."""
+"""Import-surface sanity for the public package namespace, the modules
+each command loads, and the exception each malformed call documents."""
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,20 @@ from bihomtrias import (
     Scalar,
     zero_algebra,
 )
+from bihomtrias.documents import serialize_algebra, serialize_operator
 from bihomtrias.matrices import zero_vec
+
+SUBMODULES = (
+    "catalog", "catalog_data", "centroids", "cli", "coordinate", "core", "derivations",
+    "documents", "errors", "matrices", "reports", "scalars", "transforms",
+)
+# What ``import bihomtrias`` loads: the catalog and what building an entry needs.
+AT_IMPORT = {"catalog", "core", "errors", "matrices", "reports", "scalars"}
+
+
+def fresh(*argv):
+    """Run the interpreter with ``argv`` in a new process; return it completed."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True)
 
 
 def test_public_names_resolve():
@@ -43,6 +57,110 @@ def test_public_names_resolve():
 
 def test_version():
     assert bihomtrias.__version__
+
+
+NAMESPACE = textwrap.dedent("""
+    from importlib import import_module
+
+    import bihomtrias
+
+    homes = bihomtrias._HOMES
+    exports = {name for name, home in homes.items() if name != home}
+    assert sorted(exports) == sorted(bihomtrias.__all__), "__all__ and _HOMES disagree"
+    for name in bihomtrias.__all__:
+        module = import_module(f"bihomtrias.{homes[name]}")
+        assert getattr(bihomtrias, name) is getattr(module, name), name
+    star = {}
+    exec("from bihomtrias import *", star)
+    assert all(star[name] is getattr(bihomtrias, name) for name in bihomtrias.__all__)
+    print(len(bihomtrias.__all__))
+""")
+
+
+def test_every_export_is_its_module_attribute():
+    """In a fresh interpreter each ``__all__`` name resolves to the object
+    its module defines, and a star import binds all of them."""
+    assert fresh("-c", NAMESPACE).stdout.split() == [str(len(bihomtrias.__all__))]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_resolves_without_an_import(name):
+    code = f"import bihomtrias, sys; print(bihomtrias.{name} is sys.modules['bihomtrias.{name}'])"
+    assert fresh("-c", code).stdout.split() == ["True"]
+    assert bihomtrias.__getattr__(name) is getattr(bihomtrias, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bihomtrias.__getattr__("no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(bihomtrias, "no_such_name")
+
+
+def test_dir_lists_unloaded_names():
+    listed = bihomtrias.__dir__()
+    assert set(bihomtrias.__all__) | set(SUBMODULES) <= set(listed)
+    assert listed == sorted(dir(bihomtrias))
+
+
+def test_import_time_shows_the_catalog_and_no_deferred_module():
+    """``python -X importtime -c "import bihomtrias"`` reports a line for
+    ``bihomtrias.catalog`` (the traced benchmark reads it) and none for a
+    module that loads on first use."""
+    err = fresh("-X", "importtime", "-c", "import bihomtrias").stderr
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in err.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "bihomtrias.catalog" in loaded
+    assert {f"bihomtrias.{m}" for m in SUBMODULES} & loaded == {
+        f"bihomtrias.{m}" for m in AT_IMPORT
+    }
+
+
+RUN_CLI_AS_MAIN = textwrap.dedent("""
+    import json, runpy, sys
+
+    sys.argv = ["bihomtrias", *sys.argv[1:]]
+    try:
+        runpy.run_module("bihomtrias.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+    loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("bihomtrias."))
+    print(json.dumps([code, loaded]), file=sys.stderr)
+""")
+
+
+@pytest.fixture
+def documents_dir(tmp_path):
+    algebra = serialize_algebra(bihomtrias.catalog_get("BTas_2^1").algebra)
+    (tmp_path / "a.json").write_text(algebra)
+    (tmp_path / "psi.json").write_text(serialize_operator(Matrix.from_rows([[1, 1], [0, 1]])))
+    bad = json.loads(algebra)
+    bad["alpha"][0][0] = "1/0"
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    return tmp_path
+
+
+# The modules each command loads beyond AT_IMPORT and ``documents``; ``cli``
+# runs as ``__main__``, so sys.modules does not list it under its own name.
+@pytest.mark.parametrize("argv, status, extra", [
+    (["verify", "a.json"], 0, set()),
+    (["verify", "bad.json"], 2, set()),
+    (["der", "a.json"], 0, {"derivations"}),
+    (["cent", "a.json"], 0, {"derivations", "centroids"}),
+    (["catalog", "get", "BTas_2^1"], 0, {"catalog_data"}),
+    (["construct", "direct-sum", "a.json", "a.json", "-o", "sum.json"], 0, {"transforms"}),
+    (["construct", "transport", "a.json", "--map", "psi.json", "-o", "moved.json"], 0,
+     {"transforms"}),
+], ids=["verify", "malformed", "der", "cent", "catalog-get", "direct-sum", "transport"])
+def test_command_loads_only_the_modules_it_uses(documents_dir, argv, status, extra):
+    paths = [str(documents_dir / a) if a.endswith(".json") else a for a in argv]
+    r = fresh("-c", RUN_CLI_AS_MAIN, "--format", "structured", *paths)
+    code, loaded = json.loads(r.stderr.splitlines()[-1])
+    assert code == status
+    assert set(loaded) == AT_IMPORT | {"documents"} | extra
 
 
 COUNT_CONSTRUCTIONS = textwrap.dedent("""
